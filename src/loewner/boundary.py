@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import BoundaryPoint, MobiusTransform
-from .errors import DomainError
+from .errors import DomainError, LoewnerError
 from .extrapolate import default_radii, richardson
 from .generators import FieldSpec
 from .integrate import ToleranceSettings, evolution_map
@@ -36,20 +36,21 @@ def _check_radii(radii) -> list[float]:
 
 def _eval_along_radius(map_fn, sigma: BoundaryPoint, radii: list[float]):
     """Evaluate the map at r*sigma, falling back to pointwise calls and a
-    truncated radius list when extreme radii fail."""
+    truncated radius list when extreme radii raise a LoewnerError.  Any
+    other exception is a bug in the map and propagates."""
     s = sigma.value
     zs = np.asarray([r * s for r in radii])
     try:
         ws = np.asarray(map_fn(zs))
         return radii, list(ws)
-    except Exception:
+    except LoewnerError:
         pass
     kept_r, kept_w = [], []
     for r in radii:
         try:
             kept_w.append(complex(map_fn(complex(r * s))))
             kept_r.append(r)
-        except Exception:
+        except LoewnerError:
             break
     return kept_r, kept_w
 
@@ -216,8 +217,9 @@ def check_arc_length(map_fn, arc: tuple[float, float],
     """Compare the length of a boundary arc with the length of its image.
 
     The map must fix 0 (normalize first) and carry the sampled arc to the
-    circle; an off-circle image yields a not-applicable result rather
-    than a failure.  Lengths come from unwrapped sampled arguments.
+    circle; an off-circle image, or a LoewnerError while evaluating it,
+    yields a not-applicable result rather than a failure.  Lengths come
+    from unwrapped sampled arguments.
     """
     theta0, theta1 = (float(v) for v in arc)
     if not theta0 < theta1 or theta1 - theta0 >= 2.0 * math.pi:
@@ -228,7 +230,7 @@ def check_arc_length(map_fn, arc: tuple[float, float],
     len_arc = theta1 - theta0
     try:
         ws = np.asarray(map_fn(np.exp(1j * thetas)))
-    except Exception as exc:
+    except LoewnerError as exc:
         return ArcLengthResult(len_arc, math.nan, False, False,
                                f"boundary evaluation failed: {exc}")
     off = float(np.max(np.abs(np.abs(ws) - 1.0)))

@@ -14,7 +14,10 @@ G(z, t) = (tau - z)(1 - conj(tau) z) p(z, t) with Re p >= 0:
 
 Fields are immutable; evaluation is pure.  Within one schedule segment
 every variant is constant in time, which the integrator exploits via
-``frozen_at``.
+``frozen_at``: it packs the atoms of the window's measure once, as
+``(m, 1)`` numpy columns, and returns a kernel that evaluates every atom
+term of an array state in one broadcast expression and adds the terms
+in one pass.  All three variants share that kernel.
 """
 
 from __future__ import annotations
@@ -37,25 +40,53 @@ from .measures import (
 )
 
 
-def _herglotz_raw(measure: AtomicCircleMeasure, imag_const: float, z):
-    acc = 1j * imag_const
-    if isinstance(z, np.ndarray):
-        acc = acc + np.zeros_like(z)
-    for a in measure.atoms:
-        s = a.position.value
-        acc = acc + a.weight * (s + z) / (s - z)
-    return acc
+def _herglotz_term(s, w, z):
+    """One atom of the Herglotz transform: w (s + z)/(s - z)."""
+    return w * (s + z) / (s - z)
 
 
-def _q_raw(measure: AtomicCircleMeasure, z):
-    # kernel sum without the probability validation; validated callers only
-    acc = 0j
-    if isinstance(z, np.ndarray):
-        acc = np.zeros_like(z)
-    for a in measure.atoms:
-        k = a.position.value
-        acc = acc + a.weight * (1.0 - k) / (1.0 + k * z)
-    return acc
+def _q_term(k, wk, z):
+    """One atom of the corollary q, with wk = w (1 - k) precomputed."""
+    return wk / (1.0 + k * z)
+
+
+def _atom_sum(term, start: complex, atoms) -> Callable:
+    """The kernel z -> start + sum_j term(a_j, b_j, z) over the atoms
+    (a_j, b_j), packed once.
+
+    The terms are added one by one in atom order after ``start``, the
+    order of the reference formulas ``herglotz_eval`` and
+    ``corollary_q_eval``, so results agree to the bit.  An array state
+    gets all terms from one broadcast over ``(m, 1)`` atom columns and a
+    running sum over axis 0; ``np.add.reduce`` would not do, as it sums
+    a one-point state pairwise and adds its initial value last.
+    """
+    atoms = tuple(atoms)
+    a = np.array([x for x, _ in atoms], dtype=complex)[:, None]
+    b = np.array([y for _, y in atoms])[:, None]
+
+    def kernel(z):
+        if not isinstance(z, np.ndarray):
+            acc = start
+            for x, y in atoms:
+                acc = acc + term(x, y, z)
+            return acc
+        if z.ndim != 1:
+            return kernel(z.reshape(-1)).reshape(z.shape)
+        if not atoms:
+            return start + np.zeros_like(z)
+        terms = term(a, b, z)
+        terms[0] += start
+        return np.add.accumulate(terms, axis=0, out=terms)[-1]
+
+    return kernel
+
+
+def _herglotz_sum(atoms, imag_const: float = 0.0) -> Callable:
+    """z -> i c + sum_j w_j (s_j + z)/(s_j - z) over the atoms (s_j, w_j)."""
+    # + 0j turns the real part of 1j * c, -0.0 for c < 0, into the +0.0
+    # that the reference sum over a zero-filled array starts from
+    return _atom_sum(_herglotz_term, 1j * imag_const + 0j, atoms)
 
 
 def _require_tau(tau: complex) -> complex:
@@ -113,11 +144,8 @@ class BerksonPortaField:
         if self.p_const is not None:
             c = self.p_const
             return lambda z: c if not isinstance(z, np.ndarray) else np.full_like(z, c)
-        if self.p_measure is not None:
-            mu, c = self.p_measure, self.imag_const
-        else:
-            mu, c = self.p_schedule.measure_at(t), self.imag_const
-        return lambda z: _herglotz_raw(mu, c, z)
+        mu = self.p_measure if self.p_measure is not None else self.p_schedule.measure_at(t)
+        return _herglotz_sum(((a.position.value, a.weight) for a in mu.atoms), self.imag_const)
 
     def frozen_at(self, t: float) -> Callable:
         tau, taub = self.tau, self.tau.conjugate()
@@ -171,18 +199,18 @@ class ReciprocalField:
     def breakpoints(self, s: float, t: float) -> list[float]:
         return []
 
-    def _p(self, z):
-        acc = 0j
-        if isinstance(z, np.ndarray):
-            acc = np.zeros_like(z)
-        for p, alpha in self.data:
-            s = p.value
-            acc = acc + alpha * (s + z) / (s - z)
-        return acc
+    def _herglotz(self) -> Callable:
+        return _herglotz_sum((p.value, a) for p, a in self.data)
+
+    def p_at(self, t: float) -> Callable:
+        """The Herglotz factor 1/h as a callable of z."""
+        h = self._herglotz()
+        return lambda z: 1.0 / h(z)
 
     def frozen_at(self, t: float) -> Callable:
         tau, taub = self.tau, self.tau.conjugate()
-        return lambda z: (tau - z) * (1.0 - taub * z) / self._p(z)
+        h = self._herglotz()
+        return lambda z: (tau - z) * (1.0 - taub * z) / h(z)
 
     def evaluate(self, z, t: float = 0.0):
         return self.frozen_at(t)(z)
@@ -222,9 +250,18 @@ class CorollaryField:
     def breakpoints(self, s: float, t: float) -> list[float]:
         return self.schedule.breakpoints(s, t)
 
+    def _q_at(self, t: float) -> Callable:
+        atoms = [(a.position.value, a.weight) for a in self.schedule.measure_at(t).atoms]
+        return _atom_sum(_q_term, 0j, ((k, w * (1.0 - k)) for k, w in atoms))
+
+    def p_at(self, t: float) -> Callable:
+        """The Herglotz factor (1 + z) q / 4 as a callable of z."""
+        q = self._q_at(t)
+        return lambda z: 0.25 * (1.0 + z) * q(z)
+
     def frozen_at(self, t: float) -> Callable:
-        nu = self.schedule.measure_at(t)
-        return lambda z: 0.25 * (1.0 - z) ** 2 * (1.0 + z) * _q_raw(nu, z)
+        q = self._q_at(t)
+        return lambda z: 0.25 * (1.0 - z) ** 2 * (1.0 + z) * q(z)
 
     def evaluate(self, z, t: float = 0.0):
         return self.frozen_at(t)(z)
@@ -248,12 +285,7 @@ def berkson_porta_p(spec: FieldSpec, z, t: float = 0.0):
     p(z,t) = (1+z) q(z,t) / 4); the extracted p must have Re p >= 0 on the
     disk, which is the admissibility test for being a generator.
     """
-    if isinstance(spec, BerksonPortaField):
-        return spec.p_at(t)(z)
-    if isinstance(spec, ReciprocalField):
-        return 1.0 / spec._p(z)
-    nu = spec.schedule.measure_at(t)
-    return 0.25 * (1.0 + z) * _q_raw(nu, z)
+    return spec.p_at(t)(z)
 
 
 def prescribed_null_points(spec: FieldSpec) -> tuple[BoundaryPoint, ...]:

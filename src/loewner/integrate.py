@@ -75,7 +75,8 @@ def _step_once(fun, t, y, h, k1):
     row = _A[-1]
     acc = row[0] * ks[0]
     for a, k in zip(row[1:], ks[1:]):
-        acc = acc + a * k
+        if a != 0.0:
+            acc = acc + a * k
     y5 = y + h * acc
     k7 = fun(y5)
     ks.append(k7)
@@ -194,7 +195,7 @@ def rk4_oracle(spec: FieldSpec, s: float, t: float, z, n_steps: int):
             k3 = g(y + 0.5 * h * k2)
             k4 = g(y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if float(np.max(np.abs(y))) >= 1.0:
+            if np.abs(y).max() >= 1.0:
                 raise IntegrationError(
                     f"oracle state left the disk at t = {t1}", t=t1, w=_unwrap(y)
                 )

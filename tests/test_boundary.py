@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from loewner import (
@@ -8,6 +9,7 @@ from loewner import (
     DomainError,
     MobiusTransform,
     NevanlinnaRep,
+    PoleError,
     RealAtomicMeasure,
     angular_derivative,
     build_three_brfp_map,
@@ -82,6 +84,22 @@ class TestAngularDerivative:
     def test_raw_quotients_recorded(self):
         est = angular_derivative(identity_map, ONE, ONE, radii=[0.9, 0.95, 0.975, 0.9875])
         assert len(est.raw_quotients) == 4
+
+    def test_only_package_errors_truncate_the_radii(self):
+        # a package error at the outer radii truncates the radius list; any
+        # other exception is a bug in the map and propagates
+        def failing_beyond(exc, r_max):
+            def f(z):
+                if isinstance(z, np.ndarray) or abs(z) > r_max:
+                    raise exc
+                return z
+            return f
+
+        est = angular_derivative(failing_beyond(PoleError("pole"), 0.9999), ONE, ONE)
+        assert not est.diverged
+        assert [r for r, _ in est.raw_quotients] == [1.0 - 2.0 ** -k for k in range(4, 14)]
+        with pytest.raises(TypeError):
+            angular_derivative(failing_beyond(TypeError("bug"), 0.9999), ONE, ONE)
 
 
 class TestJuliaAlpha:
@@ -238,6 +256,19 @@ class TestArcLength:
     def test_off_circle_not_applicable(self):
         res = check_arc_length(lambda z: 0.5 * z, (0.0, 1.0), samples=64)
         assert not res.applicable
+
+    def test_only_package_errors_make_it_not_applicable(self):
+        def failing_on_arrays(exc):
+            def f(z):
+                if isinstance(z, np.ndarray):
+                    raise exc
+                return z
+            return f
+
+        res = check_arc_length(failing_on_arrays(PoleError("pole")), (0.0, 1.0), samples=64)
+        assert not res.applicable
+        with pytest.raises(TypeError):
+            check_arc_length(failing_on_arrays(TypeError("bug")), (0.0, 1.0), samples=64)
 
     def test_flow_with_boundary_equality_case(self):
         flow = FlowWithBoundary(corollary_delta(PI), 0.0, 1.0)

@@ -7,21 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewner import (
+    BerksonPortaField,
     BoundaryPoint,
     CorollaryField,
     DomainError,
     InfeasibleError,
     MeasureSchedule,
     RealAtomicMeasure,
+    ReciprocalField,
     ScheduleSegment,
     ValidationError,
     angular_derivative,
     berkson_porta_p,
     build_three_brfp_map,
     circle_measure,
+    corollary_q_eval,
     field_eval,
     field_from_dict,
     field_to_dict,
+    herglotz_eval,
     null_quotient,
     pseudo_hyperbolic_distance,
     three_brfp_map_eval,
@@ -88,6 +92,69 @@ class TestFieldEval:
         fld = two_segment_field()
         assert field_eval(fld, 0j, 0.5) == pytest.approx(0.5)
         assert field_eval(fld, 0j, 1.0) == pytest.approx(0.25 * (1 - 1j))
+
+
+@st.composite
+def atom_pairs(draw):
+    """Three to eight (angle, weight) atoms, clear of angle 0."""
+    angles = draw(st.lists(st.floats(0.05, 2 * PI - 0.05), min_size=3, max_size=8,
+                           unique_by=lambda a: round(a, 6)))
+    weights = draw(st.lists(st.floats(0.05, 3.0), min_size=len(angles),
+                            max_size=len(angles)))
+    return list(zip(angles, weights))
+
+
+disk_points = st.builds(lambda r, a: complex(r * math.cos(a), r * math.sin(a)),
+                        st.floats(0.0, 0.95), st.floats(0.0, 2 * PI))
+
+
+class TestPackedKernel:
+    """frozen_at against the per-atom reference formulas, to the bit, on a
+    Python complex, a one-point state, a 16-point state and a 4x4 state."""
+
+    @staticmethod
+    def assert_same(g, ref, z):
+        assert g(z) == ref(z)
+        ring = z * np.exp(2j * PI * np.arange(16) / 16)
+        for zs in (np.array([z]), ring, ring.reshape(4, 4)):
+            got = g(zs)
+            assert got.shape == zs.shape
+            np.testing.assert_array_equal(got, ref(zs))
+
+    def test_no_atoms(self):
+        mu = circle_measure([])
+        fld = BerksonPortaField(0.5j, p_measure=mu, imag_const=-0.5)
+        tau, taub = fld.tau, fld.tau.conjugate()
+        self.assert_same(fld.frozen_at(0.5), lambda z: (
+            (tau - z) * (1.0 - taub * z) * herglotz_eval(mu, -0.5, z)), 0.3 + 0.1j)
+
+    @given(atom_pairs(), st.floats(-2.0, 2.0).filter(lambda c: c != 0.0),
+           disk_points, disk_points)
+    @settings(max_examples=60, deadline=None)
+    def test_berkson_porta(self, pairs, c, tau, z):
+        mu = circle_measure(pairs)
+        fld = BerksonPortaField(0.9 * tau, p_measure=mu, imag_const=c)
+        tau, taub = fld.tau, fld.tau.conjugate()
+        self.assert_same(fld.frozen_at(0.5), lambda z: (
+            (tau - z) * (1.0 - taub * z) * herglotz_eval(mu, c, z)), z)
+
+    @given(atom_pairs(), disk_points, disk_points)
+    @settings(max_examples=60, deadline=None)
+    def test_reciprocal(self, pairs, tau, z):
+        fld = ReciprocalField(0.9 * tau, tuple((BoundaryPoint(a), w) for a, w in pairs))
+        mu = circle_measure(pairs)
+        tau, taub = fld.tau, fld.tau.conjugate()
+        self.assert_same(fld.frozen_at(0.5), lambda z: (
+            (tau - z) * (1.0 - taub * z) / herglotz_eval(mu, 0.0, z)), z)
+
+    @given(atom_pairs(), disk_points)
+    @settings(max_examples=60, deadline=None)
+    def test_corollary(self, pairs, z):
+        total = sum(w for _, w in pairs)
+        nu = circle_measure([(a, w / total) for a, w in pairs], excluded_angle=0.0)
+        fld = CorollaryField(MeasureSchedule((ScheduleSegment(0.0, 1.0, nu),)))
+        self.assert_same(fld.frozen_at(0.5), lambda z: (
+            0.25 * (1.0 - z) ** 2 * (1.0 + z) * corollary_q_eval(nu, z)), z)
 
 
 class TestGeneratorAdmissibility:

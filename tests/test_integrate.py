@@ -49,6 +49,15 @@ class OutwardField:
         return self.frozen_at(t)(z)
 
 
+class ExcursionField(OutwardField):
+    """Test double: rotation about 0.6, G(z) = i (z - 0.6).  The orbit of
+    0.1 is 0.6 - 0.5 e^{it}: it leaves the disk once cos t < -0.65 and is
+    back at 0.1 at t = 2 pi.  Not a generator."""
+
+    def frozen_at(self, t):
+        return lambda z: 1j * (z - 0.6)
+
+
 class TestEvolveClosedForms:
     def test_radial_flow(self):
         w = evolve(radial_field(), 0.0, 1.0, 0.5 + 0j)
@@ -186,6 +195,18 @@ class TestRk4Oracle:
     def test_failure_when_leaving_disk(self):
         with pytest.raises(IntegrationError):
             rk4_oracle(OutwardField(), 0.0, 2.0, 0.5 + 0j, 100)
+        # the guard runs after every step: it stops at the first grid time
+        # outside the disk, although the orbit is back inside at the end
+        grid = np.linspace(0.0, 2 * PI, 1001)
+        exact = 0.6 - 0.5 * np.exp(1j * grid)
+        k = int(np.argmax(np.abs(exact) >= 1.0))
+        assert abs(exact[-1]) < 1.0
+        assert min(abs(exact[k]) - 1.0, 1.0 - abs(exact[k - 1])) > 1e-6
+        with pytest.raises(IntegrationError) as info:
+            rk4_oracle(ExcursionField(), 0.0, 2 * PI, 0.1 + 0j, 1000)
+        assert info.value.t == grid[k]
+        assert abs(info.value.w) >= 1.0
+        assert info.value.w == pytest.approx(exact[k], abs=1e-10)
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):
