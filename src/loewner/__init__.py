@@ -60,12 +60,11 @@ from .integrate import (
     EvolutionEvaluator,
     FlowWithBoundary,
     ToleranceSettings,
-    Trajectory,
     autonomous_semiflow,
     evolution_map,
     evolve,
+    evolve_at,
     evolve_on_circle,
-    evolve_trajectory,
     rk4_oracle,
 )
 from .measures import (

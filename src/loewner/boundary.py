@@ -19,7 +19,7 @@ from .disk import BoundaryPoint, MobiusTransform
 from .errors import DomainError, LoewnerError
 from .extrapolate import default_radii, richardson
 from .generators import FieldSpec
-from .integrate import ToleranceSettings, evolution_map
+from .integrate import ToleranceSettings, evolve_at, iter_evolve_at
 from .measures import NevanlinnaRep, nevanlinna_eval
 
 
@@ -77,6 +77,13 @@ def angular_derivative(
 ) -> AngularDerivativeEstimate:
     radii = _check_radii(default_radii() if radii is None else radii)
     kept_r, ws = _eval_along_radius(map_fn, sigma, radii)
+    return _estimate(sigma, omega, kept_r, ws)
+
+
+def _estimate(sigma: BoundaryPoint, omega: BoundaryPoint, kept_r,
+              ws) -> AngularDerivativeEstimate:
+    """Richardson estimate from the map's values ``ws`` at r*sigma for the
+    radii that could be evaluated; fewer than four radii diverge."""
     s, o = sigma.value, omega.value
     if len(kept_r) < 4:
         raw = tuple(zip(kept_r, (complex(w) for w in ws)))
@@ -180,18 +187,58 @@ def estimate_dw(map_fn, z0: complex, max_iter: int = 200,
     return DWEstimate(z, abs(z) < 1.0 - 1e-9, max_iter, False)
 
 
+def _radial_sweep(spec: FieldSpec, s: float, times: list[float],
+                  sigma: BoundaryPoint, radii: list[float], tol):
+    """For each time u, (kept radii, phi_{s,u}(r sigma)) from one sweep.
+
+    The rule of ``_eval_along_radius``, applied per time: if the batched
+    sweep raises a LoewnerError, each radius gets its own scalar sweep, a
+    radius that fails at time u stays usable before u, and the radius
+    list is cut at the first radius that did not reach u.
+    """
+    sv = sigma.value
+    zs = np.asarray([r * sv for r in radii])
+    try:
+        return [(radii, list(ws)) for ws in evolve_at(spec, s, times, zs, tol)]
+    except LoewnerError:
+        pass
+    reached = []
+    for r in radii:
+        values = []
+        try:
+            for w in iter_evolve_at(spec, s, times, complex(r * sv), tol):
+                values.append(w)
+        except LoewnerError:
+            pass
+        reached.append(values)
+    out = []
+    for k in range(len(times)):
+        kept_r, kept_w = [], []
+        for r, values in zip(radii, reached):
+            if len(values) <= k:
+                break
+            kept_r.append(r)
+            kept_w.append(values[k])
+        out.append((kept_r, kept_w))
+    return out
+
+
 def dilation_curve(spec: FieldSpec, sigma: BoundaryPoint, t_grid,
-                   tol: ToleranceSettings | None = None, radii=None):
-    """Measured angular derivative of phi_{0,t} at sigma for each t.
+                   tol: ToleranceSettings | None = None, radii=None, s: float = 0.0):
+    """Measured angular derivative of phi_{s,t} at sigma for each t, from
+    one integration of the radial points starting at s.
 
     Divergent estimates propagate as NaN entries.
     """
     ts = [float(t) for t in t_grid]
-    if any(t < 0.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise DomainError("t_grid must be increasing and start at t >= 0")
+    if s < 0.0 or any(t < s for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise DomainError("t_grid must be increasing and start at t >= s >= 0")
+    if not ts:
+        return []
+    radii = _check_radii(default_radii() if radii is None else radii)
     out = []
-    for t in ts:
-        est = angular_derivative(evolution_map(spec, 0.0, t, tol), sigma, sigma, radii)
+    for t, (kept_r, ws) in zip(ts, _radial_sweep(spec, s, ts, sigma, radii, tol)):
+        est = _estimate(sigma, sigma, kept_r, ws)
         out.append((t, math.nan if est.diverged else est.value))
     return out
 

@@ -6,9 +6,10 @@ cowen_pommerenke, dilation_tracking, dilation_monotone, chain_rule,
 arc_lemma, oracle_agreement, half_plane_julia, nevanlinna_beta.
 
 Default tolerances ship here and can be overridden per config; reports
-always record the tolerance used.  Checks are pure given the config and
-may run concurrently (LOEWNER_THREADS caps the pool); the report is a
-deterministic reduction sorted by check name.
+always record the tolerance used.  Checks run one after another in name
+order and no check depends on which ran before it; the report is sorted
+by check name.  LOEWNER_THREADS is accepted and ignored: the former check
+thread pool was bound by the interpreter lock and measured slower.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Lock
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .boundary import (
     check_arc_length,
     check_half_plane_julia,
     check_julia,
+    dilation_curve,
     normalize_fix_origin,
 )
 from .config import ROLE_DW, RunConfig
@@ -43,7 +43,7 @@ from .generators import (
     null_quotient,
 )
 from .grids import disk_grid_100, random_interior_pairs, upper_half_plane_grid
-from .integrate import FlowWithBoundary, evolution_map, evolve, rk4_oracle
+from .integrate import FlowWithBoundary, evolution_map, evolve, evolve_at, rk4_oracle
 from .measures import RealAtomicMeasure
 
 _PI = math.pi
@@ -119,8 +119,11 @@ class CheckContext:
         self.t = config.integration.t1
         self.tol = config.integration.tolerances()
         self.grid = config.grid.points()
-        self._dilations: dict = {}
-        self._lock = Lock()
+        self.mid = 0.5 * (self.s + self.t)
+        #: sample times of dilation_monotone and of dilation_tracking
+        self.monotone_times = [float(u) for u in np.linspace(self.s, self.t, 21)]
+        self.tracking_times = [u for u in (self.s + f * (self.t - self.s)
+                                           for f in (0.25, 0.5, 0.75, 1.0)) if u > self.s]
 
     def tolerance(self, name: str) -> float:
         return float(self.config.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -128,16 +131,25 @@ class CheckContext:
     def evaluator(self, s: float, t: float):
         return evolution_map(self.field, s, t, self.tol)
 
+    @cached_property
+    def _dilation_table(self) -> dict:
+        """(s, t, angle) -> measured dilation of phi_{s,t} at each
+        prescribed point, None where the estimate diverged.
+
+        One radial sweep per fixed point from s over every time a check
+        reads, and one from the midpoint to t for the chain rule, so the
+        values do not depend on which check asks first.
+        """
+        times = sorted({*self.monotone_times, *self.tracking_times, self.mid, self.t})
+        table = {}
+        for fp in self.config.fixed_points:
+            for start, ts in ((self.s, times), (self.mid, [self.t])):
+                for u, d in dilation_curve(self.field, fp.point, ts, self.tol, s=start):
+                    table[(start, u, fp.point.angle)] = None if math.isnan(d) else d
+        return table
+
     def measured_dilation(self, s: float, t: float, point: BoundaryPoint):
-        key = (s, t, point.angle)
-        with self._lock:
-            if key in self._dilations:
-                return self._dilations[key]
-        est = angular_derivative(self.evaluator(s, t), point, point)
-        value = None if est.diverged else est.value
-        with self._lock:
-            self._dilations[key] = value
-        return value
+        return self._dilation_table[(s, t, point.angle)]
 
     def expected_dilation(self, s: float, t: float, point: BoundaryPoint):
         """Dilation of phi_{s,t} at a prescribed point implied by the field
@@ -217,14 +229,14 @@ def _check_disk_invariance(ctx: CheckContext) -> CheckOutcome:
     s, t = ctx.s, ctx.t
     worst = -math.inf
     worst_in = None
-    for u in np.linspace(s, t, 9)[1:]:
-        w = evolve(ctx.field, s, float(u), ctx.grid, ctx.tol)
+    times = [float(u) for u in np.linspace(s, t, 9)[1:]]
+    for u, w in zip(times, evolve_at(ctx.field, s, times, ctx.grid, ctx.tol)):
         mods = np.abs(w)
         i = int(np.argmax(mods))
         # strictness margin: |w| must stay below 1 - 1e-14
         resid = float(mods[i]) - (1.0 - 1e-14)
         if resid > worst:
-            worst, worst_in = resid, {"z": _zdict(ctx.grid[i]), "t": float(u)}
+            worst, worst_in = resid, {"z": _zdict(ctx.grid[i]), "t": u}
     return CheckOutcome("disk_invariance", worst <= tol, worst, tol, worst_in,
                         "residual = max |w| - (1 - 1e-14); strict disk invariance")
 
@@ -302,10 +314,7 @@ def _check_dilation_tracking(ctx: CheckContext) -> CheckOutcome:
     worst = -math.inf
     worst_in = None
     for fp in fps:
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            u = ctx.s + frac * (ctx.t - ctx.s)
-            if u <= ctx.s:
-                continue
+        for u in ctx.tracking_times:
             expected = ctx.expected_dilation(ctx.s, u, fp.point)
             measured = ctx.measured_dilation(ctx.s, u, fp.point)
             if expected is None or measured is None:
@@ -327,7 +336,7 @@ def _check_dilation_monotone(ctx: CheckContext) -> CheckOutcome:
     interior_dw = abs(tau) < 1.0 - 1e-9
     if not fps and not interior_dw:
         return _not_applicable("dilation_monotone", tol, "no prescribed fixed points")
-    ts = np.linspace(ctx.s, ctx.t, 21)
+    ts = ctx.monotone_times
     worst = -math.inf
     worst_in = None
 
@@ -339,32 +348,31 @@ def _check_dilation_monotone(ctx: CheckContext) -> CheckOutcome:
     for fp in fps:
         vals = []
         for u in ts:
-            d = ctx.measured_dilation(ctx.s, float(u), fp.point)
+            d = ctx.measured_dilation(ctx.s, u, fp.point)
             if d is None:
                 return CheckOutcome("dilation_monotone", False, None, tol,
                                     notes=f"dilation diverged at angle {fp.point.angle}")
             vals.append(d)
         if fp.role == ROLE_DW:
             for u, d in zip(ts, vals):
-                track(d - 1.0, {"angle": fp.point.angle, "t": float(u), "kind": "range"})
-                track(-d, {"angle": fp.point.angle, "t": float(u), "kind": "positivity"})
+                track(d - 1.0, {"angle": fp.point.angle, "t": u, "kind": "range"})
+                track(-d, {"angle": fp.point.angle, "t": u, "kind": "positivity"})
             for (ua, a), (ub, b) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
                 track((b - a) / max(a, 1.0),
-                      {"angle": fp.point.angle, "t": float(ub), "kind": "non-increasing"})
+                      {"angle": fp.point.angle, "t": ub, "kind": "non-increasing"})
         else:
             for (ua, a), (ub, b) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
                 track((a - b) / max(a, 1.0),
-                      {"angle": fp.point.angle, "t": float(ub), "kind": "non-decreasing"})
+                      {"angle": fp.point.angle, "t": ub, "kind": "non-decreasing"})
     if interior_dw:
         # interior DW point: |d/dz phi_{s,t}| at tau via central differences
         h = 1e-5
         probes = np.asarray([tau + h, tau - h])
         prev = None
-        for u in ts:
-            w = evolve(ctx.field, ctx.s, float(u), probes, ctx.tol) if u > ctx.s else probes
+        for u, w in zip(ts, evolve_at(ctx.field, ctx.s, ts, probes, ctx.tol)):
             mod = abs((w[0] - w[1]) / (2.0 * h))
             if prev is not None:
-                track(mod - prev - 1e-9, {"t": float(u), "kind": "interior-derivative"})
+                track(mod - prev - 1e-9, {"t": u, "kind": "interior-derivative"})
             prev = mod
     note = ("grid proxy for monotone, locally absolutely continuous dilation curves; "
             "finite samples cannot certify absolute continuity")
@@ -376,7 +384,7 @@ def _check_chain_rule(ctx: CheckContext) -> CheckOutcome:
     fps = ctx.config.fixed_points
     if not fps or ctx.t <= ctx.s:
         return _not_applicable("chain_rule", tol, "needs fixed points and t1 > t0")
-    mid = 0.5 * (ctx.s + ctx.t)
+    mid = ctx.mid
     worst = -math.inf
     worst_in = None
     for fp in fps:
@@ -496,24 +504,9 @@ def _run_one(ctx: CheckContext, name: str) -> CheckOutcome:
                             notes=f"failed to evaluate: {exc}")
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("LOEWNER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_verify(config: RunConfig) -> VerificationReport:
-    """Execute every requested check; failures are report entries, never
-    exceptions.  Exit-code policy belongs to the CLI."""
+    """Execute every requested check in name order; failures are report
+    entries, never exceptions.  Exit-code policy belongs to the CLI."""
     ctx = CheckContext(config)
-    names = sorted(set(config.checks))
-    workers = min(thread_cap(), max(1, len(names)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda n: _run_one(ctx, n), names))
-    else:
-        outcomes = [_run_one(ctx, n) for n in names]
-    outcomes.sort(key=lambda o: o.name)
+    outcomes = [_run_one(ctx, n) for n in sorted(set(config.checks))]
     return VerificationReport(outcomes, config_digest(config), {"loewner": __version__})

@@ -7,7 +7,8 @@ Subcommands:
   derivative  print the dilation curve t -> phi'_{0,t}(sigma)
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 integration
-or other runtime failure.  LOEWNER_THREADS caps check parallelism.
+or other runtime failure.  LOEWNER_THREADS is accepted and ignored: the
+checks run one after another.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from .generators import (
 )
 from .grids import polar_grid
 from .integrate import ToleranceSettings
-from .measures import MeasureSchedule
+from .measures import MeasureSchedule, json_number as _number
 
 ROLE_BRFP = "brfp"
 ROLE_DW = "dw"
@@ -134,11 +134,20 @@ def _get(d: dict, key: str, ptr: str, required: bool = True, default=None):
     return d[key]
 
 
-def _number(v, ptr: str) -> float:
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool), "expected a number", ptr)
-    f = float(v)
-    _require(math.isfinite(f), "number must be finite", ptr)
-    return f
+def _bool(v, ptr: str) -> bool:
+    _require(isinstance(v, bool), "expected true or false", ptr)
+    return v
+
+
+class _NonFinite:
+    """What the reader makes of the JSON extensions NaN, Infinity and
+    -Infinity: a value no member accepts, so the error names its pointer."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
 
 
 def parse_config(text: bytes | str) -> RunConfig:
@@ -148,12 +157,12 @@ def parse_config(text: bytes | str) -> RunConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8: {exc}", byte_offset=exc.start)
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_NonFinite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"JSON syntax error: {exc.msg}", byte_offset=exc.pos)
     _require(isinstance(data, dict), "top-level value must be an object", "/")
 
-    skip_validation = bool(data.get("skip_field_validation", False))
+    skip_validation = _bool(data.get("skip_field_validation", False), "/skip_field_validation")
     field_dict = _get(data, "field", "/field")
     _require(isinstance(field_dict, dict), "field must be an object", "/field")
     spec = _parse_field(field_dict, skip_validation)
@@ -178,7 +187,8 @@ def parse_config(text: bytes | str) -> RunConfig:
     for i, r in enumerate(radii):
         _require(0.0 < r < 1.0, "grid radii must lie in (0, 1)", f"/grid/radii/{i}")
     angles = _get(grid_d, "angles", "/grid/angles")
-    _require(isinstance(angles, int) and angles > 0, "angles must be a positive integer", "/grid/angles")
+    _require(isinstance(angles, int) and not isinstance(angles, bool) and angles > 0,
+             "angles must be a positive integer", "/grid/angles")
     grid = GridSpec(kind, radii, angles)
 
     checks_raw = _get(data, "checks", "/checks")
@@ -187,15 +197,17 @@ def parse_config(text: bytes | str) -> RunConfig:
 
     checks = []
     for i, name in enumerate(checks_raw):
-        if name not in CHECK_NAMES:
+        if not isinstance(name, str) or name not in CHECK_NAMES:
             raise ConfigError(
                 f"unknown check {name!r}; registered checks: {', '.join(sorted(CHECK_NAMES))}",
                 pointer=f"/checks/{i}",
             )
         checks.append(name)
 
+    fps_raw = data.get("fixed_points", [])
+    _require(isinstance(fps_raw, list), "fixed_points must be a list", "/fixed_points")
     fps = []
-    for i, fp in enumerate(data.get("fixed_points", [])):
+    for i, fp in enumerate(fps_raw):
         ptr = f"/fixed_points/{i}"
         _require(isinstance(fp, dict), "fixed point must be an object", ptr)
         angle = _number(_get(fp, "angle", f"{ptr}/angle"), f"{ptr}/angle")
@@ -207,14 +219,19 @@ def parse_config(text: bytes | str) -> RunConfig:
 
     out_d = data.get("output", {})
     _require(isinstance(out_d, dict), "output must be an object", "/output")
+    for key in ("trajectory_csv", "report_json"):
+        path = out_d.get(key)
+        _require(path is None or isinstance(path, str), "expected a path string", f"/output/{key}")
     output = OutputSpec(
         trajectory_csv=out_d.get("trajectory_csv"),
         report_json=out_d.get("report_json"),
-        combined=bool(out_d.get("combined", False)),
+        combined=_bool(out_d.get("combined", False), "/output/combined"),
     )
 
+    tols_raw = data.get("tolerances", {})
+    _require(isinstance(tols_raw, dict), "tolerances must be an object", "/tolerances")
     tols = {}
-    for name, v in data.get("tolerances", {}).items():
+    for name, v in tols_raw.items():
         _require(name in CHECK_NAMES, f"tolerance for unknown check {name!r}", f"/tolerances/{name}")
         tols[name] = _number(v, f"/tolerances/{name}")
 
@@ -227,7 +244,7 @@ def _parse_field(d: dict, skip_validation: bool) -> FieldSpec:
     if kind == "corollary":
         sched_d = _get(d, "schedule", "/field/schedule")
         try:
-            sched = MeasureSchedule.from_dict(sched_d)
+            sched = MeasureSchedule.from_dict(sched_d, "/field/schedule")
         except (ValidationError, KeyError, TypeError) as exc:
             raise ConfigError(str(exc), pointer="/field/schedule")
         if not skip_validation:
@@ -243,7 +260,7 @@ def _parse_field(d: dict, skip_validation: bool) -> FieldSpec:
                     raise ConfigError("measure must exclude angle 0", pointer=ptr)
         return CorollaryField(sched, check=False)
     try:
-        return field_from_dict(d, validate=not skip_validation)
+        return field_from_dict(d, validate=not skip_validation, ptr="/field")
     except (ValidationError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc), pointer="/field")
 

@@ -36,6 +36,7 @@ from .measures import (
     MeasureSchedule,
     NevanlinnaRep,
     RealAtomicMeasure,
+    json_number,
     nevanlinna_eval,
 )
 
@@ -338,48 +339,54 @@ def _tau_to_dict(tau: complex) -> dict:
     return {"re": tau.real, "im": tau.imag}
 
 
-def _tau_from_dict(d: dict) -> complex:
+def _tau_from_dict(d: dict, ptr: str) -> complex:
     if "angle" in d:
-        return BoundaryPoint(float(d["angle"])).value
-    return complex(float(d["re"]), float(d["im"]))
+        return BoundaryPoint(json_number(d["angle"], f"{ptr}/angle")).value
+    return complex(json_number(d["re"], f"{ptr}/re"), json_number(d["im"], f"{ptr}/im"))
 
 
 def field_to_dict(spec: FieldSpec) -> dict:
     return spec.to_dict()
 
 
-def field_from_dict(d: dict, validate: bool = True) -> FieldSpec:
+def field_from_dict(d: dict, validate: bool = True, ptr: str = "") -> FieldSpec:
+    """Read ``field_to_dict`` output; ``ptr`` is the JSON pointer of ``d``,
+    so a member that is not a finite number is reported where it sits."""
     kind = d.get("kind")
     if kind == "berkson_porta":
         _forbid(d, ("data", "schedule"))
-        p = d["p"]
+        p, pp = d["p"], f"{ptr}/p"
         if "const_re" in p:
             return BerksonPortaField(
-                _tau_from_dict(d["tau"]),
-                p_const=complex(float(p["const_re"]), float(p.get("const_im", 0.0))),
+                _tau_from_dict(d["tau"], f"{ptr}/tau"),
+                p_const=complex(json_number(p["const_re"], f"{pp}/const_re"),
+                                json_number(p.get("const_im", 0.0), f"{pp}/const_im")),
             )
         if "measure" in p:
             return BerksonPortaField(
-                _tau_from_dict(d["tau"]),
-                p_measure=AtomicCircleMeasure.from_dict(p["measure"]),
-                imag_const=float(p.get("imag_const", 0.0)),
+                _tau_from_dict(d["tau"], f"{ptr}/tau"),
+                p_measure=AtomicCircleMeasure.from_dict(p["measure"], f"{pp}/measure"),
+                imag_const=json_number(p.get("imag_const", 0.0), f"{pp}/imag_const"),
             )
         if "schedule" in p:
             return BerksonPortaField(
-                _tau_from_dict(d["tau"]),
-                p_schedule=MeasureSchedule.from_dict(p["schedule"]),
-                imag_const=float(p.get("imag_const", 0.0)),
+                _tau_from_dict(d["tau"], f"{ptr}/tau"),
+                p_schedule=MeasureSchedule.from_dict(p["schedule"], f"{pp}/schedule"),
+                imag_const=json_number(p.get("imag_const", 0.0), f"{pp}/imag_const"),
             )
         raise ValidationError("berkson_porta payload p must give const, measure or schedule")
     if kind == "reciprocal":
         _forbid(d, ("p", "schedule"))
         data = tuple(
-            (BoundaryPoint(float(e["angle"])), float(e["alpha"])) for e in d["data"]
+            (BoundaryPoint(json_number(e["angle"], f"{ptr}/data/{i}/angle")),
+             json_number(e["alpha"], f"{ptr}/data/{i}/alpha"))
+            for i, e in enumerate(d["data"])
         )
-        return ReciprocalField(_tau_from_dict(d["tau"]), data)
+        return ReciprocalField(_tau_from_dict(d["tau"], f"{ptr}/tau"), data)
     if kind == "corollary":
         _forbid(d, ("p", "data", "tau"))
-        return CorollaryField(MeasureSchedule.from_dict(d["schedule"]), check=validate)
+        return CorollaryField(MeasureSchedule.from_dict(d["schedule"], f"{ptr}/schedule"),
+                              check=validate)
     raise ValidationError(f"unknown field kind {kind!r}")
 
 

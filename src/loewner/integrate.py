@@ -10,19 +10,19 @@ loud instead of silent.  A classical fixed-step RK4 provides the
 independent cross-validation oracle.
 
 State may be a single complex number or a numpy array of them; an array
-is advanced as one system with a shared step sequence.
+is advanced as one system with a shared step sequence.  ``evolve_at``
+returns the states at several times from one integration, cutting the
+windows at those times; ``evolve`` is its one-time case.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError, NotTangentError, ValidationError
-from .generators import FieldSpec, field_to_dict
+from .generators import FieldSpec
 
 # Dormand-Prince 4(5) tableau; the fifth-order solution is propagated and
 # the seventh stage is first-same-as-last.
@@ -94,18 +94,26 @@ def _integrate_window(fun, t0, t1, y, tol, guard, record):
     h = min(tol.max_step, span)
     k1 = fun(y)
     err_prev = 1.0
+    guard_h = None  # the step the boundary guard rejected last, if it did
     while t < t1:
         h = min(h, t1 - t)
         # underflow only counts when the controller forced it, not when the
         # window remainder itself is tiny
         if h < tol.min_step and t1 - t > tol.min_step:
+            if guard_h is not None:
+                raise IntegrationError(
+                    f"boundary guard rejected every step from t = {t} in window "
+                    f"[{t0}, {t1}] (last h = {guard_h:.3g})", t=t, w=_unwrap(y)
+                )
             raise IntegrationError(
                 f"step size underflow at t = {t}", t=t, w=_unwrap(y)
             )
         y5, err_vec, k7 = _step_once(fun, t, y, h, k1)
         if guard and float(np.max(np.abs(y5))) >= 1.0 - tol.boundary_guard:
+            guard_h = h
             h *= 0.5
             continue
+        guard_h = None
         scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.max(np.abs(err_vec) / scale))
         if err <= 1.0:
@@ -143,15 +151,20 @@ def _windows(spec: FieldSpec, s: float, t: float):
     return list(zip(cuts, cuts[1:]))
 
 
-def evolve(spec: FieldSpec, s: float, t: float, z, tol: ToleranceSettings | None = None,
-           record: list | None = None):
-    """phi_{s,t}(z): the unique solution of the initial value problem.
+def iter_evolve_at(spec: FieldSpec, s: float, times, z,
+                   tol: ToleranceSettings | None = None, record: list | None = None):
+    """Yield phi_{s,u}(z) for each u in ``times``, integrating once from s.
 
-    ``z`` may be complex or a complex ndarray; the return type matches.
-    With ``record``, accepted steps (t, w) are appended (scalar z only).
+    Windows are cut at the schedule breakpoints and at the requested
+    times, so the states before a failure are yielded before it raises.
     """
     tol = tol or DEFAULT_TOL
-    _validate_window(s, t)
+    times = [float(u) for u in times]
+    if not times:
+        raise DomainError("need at least one time")
+    _validate_window(s, times[0])
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise DomainError("times must be non-decreasing")
     scalar = not isinstance(z, np.ndarray)
     y = _as_state(z)
     if float(np.max(np.abs(y))) >= 1.0:
@@ -160,12 +173,35 @@ def evolve(spec: FieldSpec, s: float, t: float, z, tol: ToleranceSettings | None
         if not scalar:
             raise DomainError("trajectory recording needs a scalar initial point")
         record.append((s, _unwrap(y)))
-    if t == s:
-        return complex(z) if scalar else np.asarray(z, dtype=complex).copy()
-    for a, b in _windows(spec, s, t):
-        g = spec.frozen_at(0.5 * (a + b))
-        y = _integrate_window(g, a, b, y, tol, guard=True, record=record)
-    return _unwrap(y) if scalar else y
+    now = s
+    for u in times:
+        if u > now:
+            for a, b in _windows(spec, now, u):
+                g = spec.frozen_at(0.5 * (a + b))
+                y = _integrate_window(g, a, b, y, tol, guard=True, record=record)
+            now = u
+        yield _unwrap(y) if scalar else y.copy()
+
+
+def evolve_at(spec: FieldSpec, s: float, times, z, tol: ToleranceSettings | None = None,
+              record: list | None = None) -> list:
+    """[phi_{s,u}(z) for u in times] from one integration starting at s.
+
+    ``times`` must be non-decreasing and start at or after s.  Each state
+    has the type of ``z`` (complex or complex ndarray).  With ``record``,
+    accepted steps (t, w) are appended (scalar z only).
+    """
+    return list(iter_evolve_at(spec, s, times, z, tol, record))
+
+
+def evolve(spec: FieldSpec, s: float, t: float, z, tol: ToleranceSettings | None = None,
+           record: list | None = None):
+    """phi_{s,t}(z): the unique solution of the initial value problem.
+
+    ``z`` may be complex or a complex ndarray; the return type matches.
+    With ``record``, accepted steps (t, w) are appended (scalar z only).
+    """
+    return evolve_at(spec, s, (t,), z, tol, record)[0]
 
 
 def rk4_oracle(spec: FieldSpec, s: float, t: float, z, n_steps: int):
@@ -232,31 +268,6 @@ def autonomous_semiflow(spec: FieldSpec, t: float, z,
     if not spec.is_autonomous:
         raise DomainError("field data is not constant in time")
     return evolve(spec, 0.0, t, z, tol)
-
-
-def field_digest(spec: FieldSpec) -> str:
-    payload = json.dumps(field_to_dict(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-@dataclass
-class Trajectory:
-    """Accepted integration samples of one trajectory t -> phi_{s,t}(z)."""
-
-    samples: list[tuple[float, complex]]
-    field_digest: str
-
-    def write_csv(self, fh) -> None:
-        fh.write("t,w_re,w_im\n")
-        for t, w in self.samples:
-            fh.write(f"{t:.17g},{w.real:.17g},{w.imag:.17g}\n")
-
-
-def evolve_trajectory(spec: FieldSpec, s: float, t: float, z: complex,
-                      tol: ToleranceSettings | None = None) -> Trajectory:
-    samples: list[tuple[float, complex]] = []
-    evolve(spec, s, t, complex(z), tol, record=samples)
-    return Trajectory(samples, field_digest(spec))
 
 
 _TANGENCY_TOL = 1e-8

@@ -10,9 +10,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disk import ANGLE_GAP, BoundaryPoint
-from .errors import DomainError, PoleError, ValidationError
+from .errors import ConfigError, DomainError, PoleError, ValidationError
 
 PROBABILITY_TOL = 1e-12
+
+
+def json_number(v, ptr: str) -> float:
+    """A finite number read from JSON data; a bool, a string or any other
+    value raises ConfigError at the JSON pointer ``ptr``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"expected a number, got {v!r}", pointer=ptr)
+    f = float(v)
+    if not math.isfinite(f):
+        raise ConfigError("number must be finite", pointer=ptr)
+    return f
 
 
 @dataclass(frozen=True)
@@ -77,13 +88,17 @@ class AtomicCircleMeasure:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AtomicCircleMeasure":
+    def from_dict(cls, d: dict, ptr: str = "") -> "AtomicCircleMeasure":
+        """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``."""
         atoms = tuple(
-            CircleAtom(BoundaryPoint(float(a["angle"])), float(a["weight"]))
-            for a in d["atoms"]
+            CircleAtom(BoundaryPoint(json_number(a["angle"], f"{ptr}/atoms/{i}/angle")),
+                       json_number(a["weight"], f"{ptr}/atoms/{i}/weight"))
+            for i, a in enumerate(d["atoms"])
         )
         exc = d.get("excluded_angle")
-        return cls(atoms, None if exc is None else BoundaryPoint(float(exc)))
+        if exc is None:
+            return cls(atoms, None)
+        return cls(atoms, BoundaryPoint(json_number(exc, f"{ptr}/excluded_angle")))
 
 
 def circle_measure(pairs, excluded_angle: float | None = None) -> AtomicCircleMeasure:
@@ -211,14 +226,20 @@ class MeasureSchedule:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MeasureSchedule":
+    def from_dict(cls, d: dict, ptr: str = "") -> "MeasureSchedule":
+        """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``."""
         segs = tuple(
             ScheduleSegment(
-                float(s["t0"]), float(s["t1"]), AtomicCircleMeasure.from_dict(s["measure"])
+                json_number(s["t0"], f"{ptr}/segments/{i}/t0"),
+                json_number(s["t1"], f"{ptr}/segments/{i}/t1"),
+                AtomicCircleMeasure.from_dict(s["measure"], f"{ptr}/segments/{i}/measure"),
             )
-            for s in d["segments"]
+            for i, s in enumerate(d["segments"])
         )
-        return cls(segs, bool(d.get("hold_last", False)))
+        hold_last = d.get("hold_last", False)
+        if not isinstance(hold_last, bool):
+            raise ConfigError("hold_last must be true or false", pointer=f"{ptr}/hold_last")
+        return cls(segs, hold_last)
 
 
 def measure_at(schedule: MeasureSchedule, t: float) -> AtomicCircleMeasure:

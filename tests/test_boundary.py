@@ -6,11 +6,13 @@ import pytest
 
 from loewner import (
     BoundaryPoint,
+    CorollaryField,
     DomainError,
     MobiusTransform,
     NevanlinnaRep,
     PoleError,
     RealAtomicMeasure,
+    ToleranceSettings,
     angular_derivative,
     build_three_brfp_map,
     check_arc_length,
@@ -202,6 +204,50 @@ class TestDilationCurve:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             dilation_curve(corollary_delta(PI), ONE, [1.0, 0.5])
+        with pytest.raises(DomainError):
+            dilation_curve(corollary_delta(PI), ONE, [0.2, 0.5], s=0.3)
+
+    def test_later_start(self):
+        curve = dilation_curve(corollary_delta(PI), MINUS_ONE, [0.3, 0.8], s=0.3)
+        assert curve[0][1] == pytest.approx(1.0, abs=1e-12)
+        assert curve[1][1] == pytest.approx(math.exp(0.5), rel=1e-6)
+
+    def test_field_evaluation_budget(self, monkeypatch):
+        # one sweep over the 21 times; re-integrating from 0 for each time
+        # took 1347 field evaluations
+        calls = 0
+        frozen_at = CorollaryField.frozen_at
+
+        def counting_frozen_at(self, t):
+            g = frozen_at(self, t)
+
+            def kernel(z):
+                nonlocal calls
+                calls += 1
+                return g(z)
+
+            return kernel
+
+        monkeypatch.setattr(CorollaryField, "frozen_at", counting_frozen_at)
+        times = np.linspace(0.05, 1.0, 21)
+        curve = dilation_curve(corollary_delta(PI), MINUS_ONE, times)
+        assert calls <= 1347 // 3
+        for t, v in curve:
+            assert v == pytest.approx(math.exp(t), rel=1e-8)
+
+    def test_failing_radius_serves_earlier_times(self):
+        # with a wide guard band the two outer radii cross it before t = 1:
+        # they still serve t = 0.25, and t = 1 keeps three radii, too few
+        fld = corollary_delta(PI)
+        radii = [0.2, 0.4, 0.6, 0.8, 0.85]
+        tol = ToleranceSettings(boundary_guard=0.1)
+        (_, early), (_, late) = dilation_curve(fld, ONE, [0.25, 1.0], tol, radii=radii)
+        est = angular_derivative(evolution_map(fld, 0.0, 0.25, tol), ONE, ONE, radii)
+        assert len(est.raw_quotients) == 5
+        assert early == pytest.approx(est.value, rel=1e-9)
+        est = angular_derivative(evolution_map(fld, 0.0, 1.0, tol), ONE, ONE, radii)
+        assert est.diverged and [r for r, _ in est.raw_quotients] == radii[:3]
+        assert math.isnan(late)
 
 
 class TestBrfpConsistency:

@@ -4,6 +4,7 @@ import math
 from loewner.checks import (
     CHECK_NAMES,
     CHECKS,
+    CheckContext,
     DEFAULT_TOLERANCES,
     emit_report,
     run_verify,
@@ -83,6 +84,24 @@ class TestReportDeterminism:
         serial = emit_report(run(d))
         monkeypatch.setenv("LOEWNER_THREADS", "4")
         assert emit_report(run(d)) == serial
+
+    def test_check_order_does_not_change_results(self):
+        # the dilation checks share one lazily built table: whichever check
+        # runs first, every check reads the same values
+        names = ["chain_rule", "cowen_pommerenke", "dilation_monotone",
+                 "dilation_tracking", "disk_invariance", "julia"]
+        d = config_dict(corollary_field_dict(), names, BOTH_FPS, t1=0.5)
+        forward = json.loads(emit_report(run(d)))["checks"]
+        d["checks"] = names[::-1]
+        assert json.loads(emit_report(run(d)))["checks"] == forward
+        config = parse_config(json.dumps(d).encode())
+        for order in (names, names[::-1]):
+            ctx = CheckContext(config)
+            outcomes = {n: CHECKS[n](ctx).to_dict() for n in order}
+            assert [outcomes[n] for n in names] == forward
+        alone = [run(config_dict(corollary_field_dict(), [n], BOTH_FPS, t1=0.5)).checks[0]
+                 for n in names]
+        assert [c.to_dict() for c in alone] == forward
 
     def test_canonical_json_shape(self):
         rep = run(config_dict(corollary_field_dict(), ["semigroup"], BOTH_FPS))

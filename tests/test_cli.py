@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from loewner.cli import main
+
 PI = math.pi
 
 
@@ -84,6 +86,25 @@ class TestVerifyCommand:
     def test_missing_file(self):
         res = run_cli("verify", "--config", "/nonexistent/cfg.json")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("overrides,pointer", [
+        ({"tolerances": [1]}, "/tolerances"),
+        ({"field": {"kind": "reciprocal", "tau": {"angle": "a"},
+                    "data": [{"angle": 2.0, "alpha": 1.0}]}, "fixed_points": []},
+         "/field/tau/angle"),
+        ({"checks": [["x"]]}, "/checks/0"),
+        ({"grid": {"kind": "polar", "radii": [0.3], "angles": True}}, "/grid/angles"),
+        # json.dumps writes a bare NaN, a JSON extension the reader must refuse
+        ({"field": {"kind": "reciprocal", "tau": {"angle": math.nan},
+                    "data": [{"angle": 2.0, "alpha": 1.0}]},
+          "fixed_points": [{"angle": 0.0, "expected_role": "dw"}]}, "/field/tau/angle"),
+    ], ids=["tolerances-list", "string-angle", "list-check-name", "bool-angles", "nan-angle"])
+    def test_malformed_members_name_their_pointer(self, tmp_path, capsys, overrides, pointer):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {pointer}: ")
+        assert "Traceback" not in err
 
 
 class TestSimulateCommand:

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -14,8 +13,8 @@ from loewner import (
     autonomous_semiflow,
     evolution_map,
     evolve,
+    evolve_at,
     evolve_on_circle,
-    evolve_trajectory,
     pseudo_hyperbolic_distance,
     rk4_oracle,
 )
@@ -167,6 +166,53 @@ class TestEvolutionFamilyLaws:
         assert mods[-1] == pytest.approx(math.exp(-2.0 / 3.0), rel=1e-4)
 
 
+class TestEvolveAt:
+    FIELDS = [
+        (corollary_delta(PI / 2), 1.0),
+        (example_three_atoms(), 1.0),
+        (parabolic_field(), 1.0),
+        (two_segment_field(), 2.0),
+    ]
+    IDS = ["corollary", "reciprocal", "berkson-porta", "two-seg"]
+
+    @pytest.mark.parametrize("fld,t1", FIELDS, ids=IDS)
+    @pytest.mark.parametrize("z", [0.3 - 0.4j, disk_grid_64()], ids=["scalar", "array"])
+    def test_one_time_is_evolve(self, fld, t1, z):
+        (w,) = evolve_at(fld, 0.2, [t1], z)
+        assert np.all(w == evolve(fld, 0.2, t1, z))
+
+    def test_snapshots_at_breakpoints_are_evolve(self):
+        # a requested time on a schedule breakpoint cuts no extra window
+        fld = two_segment_field()
+        zs = disk_grid_64()
+        first, last = evolve_at(fld, 0.0, [1.0, 2.0], zs)
+        assert np.all(first == evolve(fld, 0.0, 1.0, zs))
+        assert np.all(last == evolve(fld, 0.0, 2.0, zs))
+
+    @pytest.mark.parametrize("fld,t1", FIELDS, ids=IDS)
+    def test_snapshots_match_separate_evolves(self, fld, t1):
+        zs = disk_grid_64()
+        times = [float(u) for u in np.linspace(0.0, t1, 9)]
+        snaps = evolve_at(fld, 0.0, times, zs)
+        assert len(snaps) == len(times)
+        assert np.all(snaps[0] == zs)
+        for u, w in zip(times, snaps):
+            assert float(np.max(np.abs(w - evolve(fld, 0.0, u, zs)))) < 1e-9
+
+    def test_scalar_snapshots_and_repeats(self):
+        fld = corollary_delta(PI)
+        snaps = evolve_at(fld, 0.0, [0.5, 0.5, 1.0], 0j)
+        assert all(isinstance(w, complex) for w in snaps)
+        assert snaps[0] == snaps[1]
+        assert snaps[2] == pytest.approx(hyperbolic_x(1.0), abs=1e-9)
+
+    def test_time_validation(self):
+        fld = radial_field()
+        for times in ([], [0.5, 0.4], [-0.1]):
+            with pytest.raises(DomainError):
+                evolve_at(fld, 0.0, times, 0j)
+
+
 class TestRk4Oracle:
     def test_radial_against_closed_form(self):
         w = rk4_oracle(radial_field(), 0.0, 1.0, 0.5 + 0j, 10000)
@@ -245,6 +291,12 @@ class TestFailureHandling:
         assert err.t is not None and err.w is not None
         assert 0.0 <= err.t < 2.0
         assert abs(err.w) < 1.0
+        # G = 1 carries 0.5 onto the circle at t = 0.5: the guard rejects
+        # every step from there, and the failure says so, not "underflow"
+        message = str(err)
+        assert "boundary guard" in message and "underflow" not in message
+        assert "window [0.0, 2.0]" in message and "last h = " in message
+        assert err.t == pytest.approx(0.5, abs=1e-9)
 
     def test_tolerance_validation(self):
         with pytest.raises(ValidationError):
@@ -254,23 +306,17 @@ class TestFailureHandling:
 
 
 class TestTrajectory:
-    def test_samples_and_csv_format(self):
-        traj = evolve_trajectory(corollary_delta(PI, t_end=2.0), 0.0, 2.0, 0j)
-        ts = [t for t, _ in traj.samples]
+    def test_recorded_samples(self):
+        samples = []
+        w = evolve(corollary_delta(PI, t_end=2.0), 0.0, 2.0, 0j, record=samples)
+        ts = [t for t, _ in samples]
         assert ts[0] == 0.0 and ts[-1] == 2.0
         assert all(b > a for a, b in zip(ts, ts[1:]))
-        assert all(abs(w) < 1.0 for _, w in traj.samples)
+        assert samples[-1][1] == w
         # samples track the closed-form trajectory
-        for t, w in traj.samples:
+        for t, w in samples:
+            assert abs(w) < 1.0
             assert abs(w - hyperbolic_x(t)) < 1e-8
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,w_re,w_im"
-        assert len(lines) == len(traj.samples) + 1
-        first = lines[1].split(",")
-        assert len(first) == 3 and float(first[0]) == 0.0
-        assert len(traj.field_digest) == 16
 
     def test_record_requires_scalar(self):
         with pytest.raises(DomainError):
