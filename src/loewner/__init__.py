@@ -23,9 +23,6 @@ from .disk import (
     CayleyMap,
     MobiusTransform,
     build_automorphism,
-    cayley,
-    cayley_inverse,
-    mobius_apply,
     pseudo_hyperbolic_distance,
     require_interior,
 )
@@ -47,18 +44,12 @@ from .generators import (
     NullQuotient,
     ReciprocalField,
     ThreeBrfpMap,
-    berkson_porta_p,
     build_three_brfp_map,
-    field_eval,
     field_from_dict,
-    field_to_dict,
     null_quotient,
-    prescribed_null_points,
-    three_brfp_map_eval,
 )
 from .integrate import (
     EvolutionEvaluator,
-    FlowWithBoundary,
     ToleranceSettings,
     autonomous_semiflow,
     evolution_map,
@@ -77,6 +68,5 @@ from .measures import (
     circle_measure,
     corollary_q_eval,
     herglotz_eval,
-    measure_at,
     nevanlinna_eval,
 )

@@ -34,16 +34,9 @@ from .boundary import (
 from .config import ROLE_DW, RunConfig
 from .disk import BoundaryPoint, pseudo_hyperbolic_distance
 from .errors import LoewnerError
-from .generators import (
-    BerksonPortaField,
-    CorollaryField,
-    FieldSpec,
-    build_three_brfp_map,
-    dw_point,
-    null_quotient,
-)
+from .generators import FieldSpec, build_three_brfp_map
 from .grids import disk_grid_100, random_interior_pairs, upper_half_plane_grid
-from .integrate import FlowWithBoundary, evolution_map, evolve, evolve_at, rk4_oracle
+from .integrate import evolution_map, evolve, evolve_at, rk4_oracle
 from .measures import RealAtomicMeasure
 
 _PI = math.pi
@@ -151,31 +144,6 @@ class CheckContext:
     def measured_dilation(self, s: float, t: float, point: BoundaryPoint):
         return self._dilation_table[(s, t, point.angle)]
 
-    def expected_dilation(self, s: float, t: float, point: BoundaryPoint):
-        """Dilation of phi_{s,t} at a prescribed point implied by the field
-        data: exp of the time integral of the boundary null quotient.
-
-        For the corollary variant this is e^(t-s) at angle pi and
-        exp(-integral of the scheduled mass at angle pi) at angle 0; a
-        non-probability schedule forced past validation will disagree
-        with the measured map, which is the point of the comparison.
-        """
-        if isinstance(self.field, CorollaryField):
-            if point.gap(BoundaryPoint(_PI)) <= 1e-9:
-                return math.exp(t - s)
-            if point.gap(BoundaryPoint(0.0)) <= 1e-9:
-                mass = self.field.schedule.integrate_mass_at(BoundaryPoint(_PI), s, t)
-                return math.exp(-mass)
-            return None
-        total = 0.0
-        cuts = [s] + self.field.breakpoints(s, t) + [t]
-        for a, b in zip(cuts, cuts[1:]):
-            nq = null_quotient(self.field, point, 0.5 * (a + b))
-            if nq.diverged:
-                return None
-            total += nq.value.real * (b - a)
-        return math.exp(total)
-
 
 DEFAULT_TOLERANCES = {
     "semigroup": 1e-8,
@@ -269,7 +237,7 @@ def _check_julia(ctx: CheckContext) -> CheckOutcome:
     worst_in = None
     notes = []
     for fp in fps:
-        expected = ctx.expected_dilation(ctx.s, ctx.t, fp.point)
+        expected = ctx.field.expected_dilation(fp.point, ctx.s, ctx.t)
         if expected is None:
             return CheckOutcome("julia", False, None, tol,
                                 notes=f"no finite expected dilation at angle {fp.point.angle}")
@@ -315,7 +283,7 @@ def _check_dilation_tracking(ctx: CheckContext) -> CheckOutcome:
     worst_in = None
     for fp in fps:
         for u in ctx.tracking_times:
-            expected = ctx.expected_dilation(ctx.s, u, fp.point)
+            expected = ctx.field.expected_dilation(fp.point, ctx.s, u)
             measured = ctx.measured_dilation(ctx.s, u, fp.point)
             if expected is None or measured is None:
                 return CheckOutcome("dilation_tracking", False, None, tol,
@@ -332,7 +300,7 @@ def _check_dilation_tracking(ctx: CheckContext) -> CheckOutcome:
 def _check_dilation_monotone(ctx: CheckContext) -> CheckOutcome:
     tol = ctx.tolerance("dilation_monotone")
     fps = ctx.config.fixed_points
-    tau = dw_point(ctx.field)
+    tau = ctx.field.tau
     interior_dw = abs(tau) < 1.0 - 1e-9
     if not fps and not interior_dw:
         return _not_applicable("dilation_monotone", tol, "no prescribed fixed points")
@@ -406,7 +374,7 @@ def _check_arc_lemma(ctx: CheckContext) -> CheckOutcome:
     tol = ctx.tolerance("arc_lemma")
     if ctx.t <= ctx.s:
         return _not_applicable("arc_lemma", tol, "empty time window")
-    flow = FlowWithBoundary(ctx.field, ctx.s, ctx.t, ctx.tol)
+    flow = ctx.evaluator(ctx.s, ctx.t)
     try:
         normalized = normalize_fix_origin(flow)
         result = check_arc_length(normalized, _DEFAULT_ARC, samples=2048)

@@ -15,18 +15,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .disk import BoundaryPoint
-from .errors import ConfigError, ValidationError
-from .generators import (
-    BerksonPortaField,
-    CorollaryField,
-    FieldSpec,
-    ReciprocalField,
-    field_from_dict,
-    field_to_dict,
-)
+from .errors import ConfigError, DomainError, ValidationError
+from .generators import FieldSpec, field_from_dict
 from .grids import polar_grid
 from .integrate import ToleranceSettings
-from .measures import MeasureSchedule, json_number as _number
+from .measures import json_member, json_number as _number
 
 ROLE_BRFP = "brfp"
 ROLE_DW = "dw"
@@ -82,7 +75,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         d = {
-            "field": field_to_dict(self.field),
+            "field": self.field.to_dict(),
             "integration": {
                 "t0": self.integration.t0,
                 "t1": self.integration.t1,
@@ -127,13 +120,6 @@ def _require(cond: bool, msg: str, ptr: str) -> None:
         raise ConfigError(msg, pointer=ptr)
 
 
-def _get(d: dict, key: str, ptr: str, required: bool = True, default=None):
-    if key not in d:
-        _require(not required, f"missing required member {key!r}", ptr)
-        return default
-    return d[key]
-
-
 def _bool(v, ptr: str) -> bool:
     _require(isinstance(v, bool), "expected true or false", ptr)
     return v
@@ -163,35 +149,46 @@ def parse_config(text: bytes | str) -> RunConfig:
     _require(isinstance(data, dict), "top-level value must be an object", "/")
 
     skip_validation = _bool(data.get("skip_field_validation", False), "/skip_field_validation")
-    field_dict = _get(data, "field", "/field")
+    field_dict = json_member(data, "field", "")
     _require(isinstance(field_dict, dict), "field must be an object", "/field")
-    spec = _parse_field(field_dict, skip_validation)
+    try:
+        spec = field_from_dict(field_dict, validate=not skip_validation, ptr="/field")
+    except (ValidationError, TypeError) as exc:
+        raise ConfigError(str(exc), pointer="/field")
 
-    integ = _get(data, "integration", "/integration")
+    integ = json_member(data, "integration", "")
     _require(isinstance(integ, dict), "integration must be an object", "/integration")
-    t0 = _number(_get(integ, "t0", "/integration/t0"), "/integration/t0")
-    t1 = _number(_get(integ, "t1", "/integration/t1"), "/integration/t1")
+    t0 = _number(json_member(integ, "t0", "/integration"), "/integration/t0")
+    t1 = _number(json_member(integ, "t1", "/integration"), "/integration/t1")
     _require(0.0 <= t0 <= t1, "need 0 <= t0 <= t1", "/integration")
+    try:
+        # the field must be defined on [t0, t1); schedule segments are
+        # right-open, so the last time that matters lies just below t1
+        spec.frozen_at(math.nextafter(t1, 0.0))
+    except DomainError:
+        end = spec.breakpoints(0.0, t1)[-1]
+        raise ConfigError(f"t1 = {t1!r} is past the schedule end {end!r} and hold_last is off",
+                          pointer="/integration/t1")
     rel = _number(integ.get("rel_tol", 1e-10), "/integration/rel_tol")
     abs_ = _number(integ.get("abs_tol", 1e-12), "/integration/abs_tol")
     _require(rel > 0.0 and abs_ > 0.0, "tolerances must be positive", "/integration")
     window = IntegrationWindow(t0, t1, rel, abs_)
 
-    grid_d = _get(data, "grid", "/grid")
+    grid_d = json_member(data, "grid", "")
     _require(isinstance(grid_d, dict), "grid must be an object", "/grid")
-    kind = _get(grid_d, "kind", "/grid/kind")
+    kind = json_member(grid_d, "kind", "/grid")
     _require(kind == "polar", f"unsupported grid kind {kind!r}", "/grid/kind")
-    radii_raw = _get(grid_d, "radii", "/grid/radii")
+    radii_raw = json_member(grid_d, "radii", "/grid")
     _require(isinstance(radii_raw, list) and radii_raw, "radii must be a non-empty list", "/grid/radii")
     radii = tuple(_number(r, f"/grid/radii/{i}") for i, r in enumerate(radii_raw))
     for i, r in enumerate(radii):
         _require(0.0 < r < 1.0, "grid radii must lie in (0, 1)", f"/grid/radii/{i}")
-    angles = _get(grid_d, "angles", "/grid/angles")
+    angles = json_member(grid_d, "angles", "/grid")
     _require(isinstance(angles, int) and not isinstance(angles, bool) and angles > 0,
              "angles must be a positive integer", "/grid/angles")
     grid = GridSpec(kind, radii, angles)
 
-    checks_raw = _get(data, "checks", "/checks")
+    checks_raw = json_member(data, "checks", "")
     _require(isinstance(checks_raw, list), "checks must be a list", "/checks")
     from .checks import CHECK_NAMES  # deferred: checks imports this module
 
@@ -210,8 +207,8 @@ def parse_config(text: bytes | str) -> RunConfig:
     for i, fp in enumerate(fps_raw):
         ptr = f"/fixed_points/{i}"
         _require(isinstance(fp, dict), "fixed point must be an object", ptr)
-        angle = _number(_get(fp, "angle", f"{ptr}/angle"), f"{ptr}/angle")
-        role = _get(fp, "expected_role", f"{ptr}/expected_role")
+        angle = _number(json_member(fp, "angle", ptr), f"{ptr}/angle")
+        role = json_member(fp, "expected_role", ptr)
         _require(role in (ROLE_BRFP, ROLE_DW), "expected_role must be 'brfp' or 'dw'", f"{ptr}/expected_role")
         fps.append(FixedPointSpec(BoundaryPoint(angle), role))
     if not skip_validation:
@@ -239,54 +236,15 @@ def parse_config(text: bytes | str) -> RunConfig:
                      skip_validation)
 
 
-def _parse_field(d: dict, skip_validation: bool) -> FieldSpec:
-    kind = _get(d, "kind", "/field/kind")
-    if kind == "corollary":
-        sched_d = _get(d, "schedule", "/field/schedule")
-        try:
-            sched = MeasureSchedule.from_dict(sched_d, "/field/schedule")
-        except (ValidationError, KeyError, TypeError) as exc:
-            raise ConfigError(str(exc), pointer="/field/schedule")
-        if not skip_validation:
-            origin = BoundaryPoint(0.0)
-            for i, seg in enumerate(sched.segments):
-                ptr = f"/field/schedule/segments/{i}/measure"
-                if not seg.measure.is_probability():
-                    raise ConfigError(
-                        f"probability mass != 1 (total {seg.measure.total_mass!r})",
-                        pointer=ptr,
-                    )
-                if seg.measure.excluded is None or seg.measure.excluded.gap(origin) > _MATCH_TOL:
-                    raise ConfigError("measure must exclude angle 0", pointer=ptr)
-        return CorollaryField(sched, check=False)
-    try:
-        return field_from_dict(d, validate=not skip_validation, ptr="/field")
-    except (ValidationError, KeyError, TypeError) as exc:
-        raise ConfigError(str(exc), pointer="/field")
-
-
 def _check_fixed_points(spec: FieldSpec, fps: list[FixedPointSpec]) -> None:
+    """A brfp must sit at one of the field's prescribed null points and a
+    dw at its Denjoy-Wolff point on the circle."""
     for i, fp in enumerate(fps):
         ptr = f"/fixed_points/{i}"
-        if isinstance(spec, CorollaryField):
-            if fp.role == ROLE_DW:
-                _require(fp.point.gap(BoundaryPoint(0.0)) <= _MATCH_TOL,
-                         "corollary DW point sits at angle 0", ptr)
-            else:
-                _require(fp.point.gap(BoundaryPoint(math.pi)) <= _MATCH_TOL,
-                         "corollary BRFP sits at angle pi", ptr)
-        elif isinstance(spec, ReciprocalField):
-            if fp.role == ROLE_BRFP:
-                _require(any(fp.point.gap(p) <= _MATCH_TOL for p, _ in spec.data),
-                         "brfp angle does not match any prescribed sigma", ptr)
-            else:
-                _require(abs(abs(spec.tau) - 1.0) <= 1e-9,
-                         "field has an interior DW point; it cannot be listed by angle", ptr)
-                _require(fp.point.gap(BoundaryPoint.from_complex(spec.tau)) <= _MATCH_TOL,
-                         "dw angle does not match tau", ptr)
-        elif isinstance(spec, BerksonPortaField):
-            _require(fp.role == ROLE_DW,
-                     "this field variant prescribes no boundary null points", ptr)
+        if fp.role == ROLE_BRFP:
+            _require(any(fp.point.gap(p) <= _MATCH_TOL for p in spec.null_points),
+                     "brfp angle does not match any prescribed sigma", ptr)
+        else:
             _require(abs(abs(spec.tau) - 1.0) <= 1e-9,
                      "field has an interior DW point; it cannot be listed by angle", ptr)
             _require(fp.point.gap(BoundaryPoint.from_complex(spec.tau)) <= _MATCH_TOL,

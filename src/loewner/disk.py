@@ -71,11 +71,6 @@ class BoundaryPoint:
         return min(d, TWO_PI - d)
 
 
-def angle_gap(a: float, b: float) -> float:
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
 @dataclass(frozen=True)
 class MobiusTransform:
     """z -> (a z + b) / (c z + d) with ad - bc != 0.
@@ -153,11 +148,6 @@ class MobiusTransform:
         return True
 
 
-def mobius_apply(m: MobiusTransform, z: complex):
-    """Functional form of MobiusTransform.apply."""
-    return m.apply(z)
-
-
 @dataclass(frozen=True)
 class CayleyMap:
     """z -> i (tau + z) / (tau - z), sending the disk onto the upper
@@ -202,14 +192,6 @@ class CayleyMap:
         if self.tau.gap(sigma) <= ANGLE_GAP:
             raise PoleError("boundary image of tau itself is infinite")
         return self.forward(sigma.value).real
-
-
-def cayley(tau: BoundaryPoint, z: complex):
-    return CayleyMap(tau).forward(z)
-
-
-def cayley_inverse(tau: BoundaryPoint, w: complex):
-    return CayleyMap(tau).inverse(w)
 
 
 def pseudo_hyperbolic_distance(z1: complex, z2: complex) -> float:

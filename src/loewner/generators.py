@@ -12,6 +12,17 @@ G(z, t) = (tau - z)(1 - conj(tau) z) p(z, t) with Re p >= 0:
   probability measures excluding angle 0; it has Denjoy-Wolff point 1
   and a boundary regular null point at -1 with unit null quotient.
 
+Every variant describes its own field data through one interface, so
+no other module branches on the class: ``tau`` is the Denjoy-Wolff
+point, ``null_points`` the prescribed boundary null points, and
+``expected_dilation(point, s, t)`` the dilation of phi_{s,t} at a
+prescribed point that the data implies (a closed form for the corollary
+variant, the integrated null quotient for the other two).
+
+The three classes stay apart because their kernels differ in the order
+of their complex products; folding the corollary kernel into the
+generic (tau - z)(1 - conj(tau) z) p form would move floats.
+
 Fields are immutable; evaluation is pure.  Within one schedule segment
 every variant is constant in time, which the integrator exploits via
 ``frozen_at``: it packs the atoms of the window's measure once, as
@@ -29,13 +40,14 @@ from typing import Callable, Union
 import numpy as np
 
 from .disk import ANGLE_GAP, BoundaryPoint, CayleyMap, MobiusTransform
-from .errors import DomainError, InfeasibleError, ValidationError
+from .errors import ConfigError, DomainError, InfeasibleError, ValidationError
 from .extrapolate import default_radii, richardson
 from .measures import (
     AtomicCircleMeasure,
     MeasureSchedule,
     NevanlinnaRep,
     RealAtomicMeasure,
+    json_member,
     json_number,
     nevanlinna_eval,
 )
@@ -106,6 +118,33 @@ def _tau_clear_of_atoms(tau: complex, positions) -> None:
             raise ValidationError("tau coincides with a prescribed boundary point")
 
 
+def _integrated_null_quotient(spec, point: BoundaryPoint, s: float, t: float):
+    """Dilation of phi_{s,t} at a prescribed point implied by the field
+    data: exp of the time integral of the boundary null quotient, taken at
+    each window's midpoint; None where the quotient diverges."""
+    total = 0.0
+    cuts = [s] + spec.breakpoints(s, t) + [t]
+    for a, b in zip(cuts, cuts[1:]):
+        nq = null_quotient(spec, point, 0.5 * (a + b))
+        if nq.diverged:
+            return None
+        total += nq.value.real * (b - a)
+    return math.exp(total)
+
+
+def _corollary_segment_fault(schedule: MeasureSchedule):
+    """(index, reason) of the first segment whose measure is not a
+    probability measure declaring angle 0 as excluded, or None."""
+    origin = BoundaryPoint(0.0)
+    for i, seg in enumerate(schedule.segments):
+        mu = seg.measure
+        if not mu.is_probability():
+            return i, f"probability mass != 1 (total {mu.total_mass!r})"
+        if mu.excluded is None or mu.excluded.gap(origin) > ANGLE_GAP:
+            return i, "measure must exclude angle 0"
+    return None
+
+
 @dataclass(frozen=True)
 class BerksonPortaField:
     """G(z, t) = (tau - z)(1 - conj(tau) z) p(z, t)."""
@@ -131,6 +170,10 @@ class BerksonPortaField:
             for seg in self.p_schedule.segments:
                 _tau_clear_of_atoms(self.tau, (a.position for a in seg.measure.atoms))
 
+    #: the data prescribes no boundary null points
+    null_points = ()
+    expected_dilation = _integrated_null_quotient
+
     @property
     def is_autonomous(self) -> bool:
         if self.p_schedule is None:
@@ -152,9 +195,6 @@ class BerksonPortaField:
         tau, taub = self.tau, self.tau.conjugate()
         p = self.p_at(t)
         return lambda z: (tau - z) * (1.0 - taub * z) * p(z)
-
-    def evaluate(self, z, t: float = 0.0):
-        return self.frozen_at(t)(z)
 
     def to_dict(self) -> dict:
         if self.p_const is not None:
@@ -196,6 +236,11 @@ class ReciprocalField:
         _tau_clear_of_atoms(self.tau, pts)
 
     is_autonomous = True
+    expected_dilation = _integrated_null_quotient
+
+    @property
+    def null_points(self) -> tuple[BoundaryPoint, ...]:
+        return tuple(p for p, _ in self.data)
 
     def breakpoints(self, s: float, t: float) -> list[float]:
         return []
@@ -212,9 +257,6 @@ class ReciprocalField:
         tau, taub = self.tau, self.tau.conjugate()
         h = self._herglotz()
         return lambda z: (tau - z) * (1.0 - taub * z) / h(z)
-
-    def evaluate(self, z, t: float = 0.0):
-        return self.frozen_at(t)(z)
 
     def to_dict(self) -> dict:
         return {
@@ -233,16 +275,13 @@ class CorollaryField:
     schedule: MeasureSchedule
     check: InitVar[bool] = True
 
+    tau = 1.0 + 0j
+    null_points = (BoundaryPoint(math.pi),)
+
     def __post_init__(self, check: bool) -> None:
-        if not check:
-            return
-        origin = BoundaryPoint(0.0)
-        for seg in self.schedule.segments:
-            seg.measure.require_probability()
-            if seg.measure.excluded is None or seg.measure.excluded.gap(origin) > ANGLE_GAP:
-                raise ValidationError(
-                    "corollary segment measures must declare angle 0 as excluded"
-                )
+        fault = _corollary_segment_fault(self.schedule) if check else None
+        if fault is not None:
+            raise ValidationError(f"corollary schedule segment {fault[0]}: {fault[1]}")
 
     @property
     def is_autonomous(self) -> bool:
@@ -264,45 +303,23 @@ class CorollaryField:
         q = self._q_at(t)
         return lambda z: 0.25 * (1.0 - z) ** 2 * (1.0 + z) * q(z)
 
-    def evaluate(self, z, t: float = 0.0):
-        return self.frozen_at(t)(z)
+    def expected_dilation(self, point: BoundaryPoint, s: float, t: float):
+        """e^(t-s) at angle pi and exp(-integral of the scheduled mass at
+        angle pi) at angle 0; None elsewhere.  A non-probability schedule
+        forced past validation will disagree with the measured map, which
+        is the point of the comparison."""
+        if point.gap(BoundaryPoint(math.pi)) <= 1e-9:
+            return math.exp(t - s)
+        if point.gap(BoundaryPoint(0.0)) <= 1e-9:
+            mass = self.schedule.integrate_mass_at(BoundaryPoint(math.pi), s, t)
+            return math.exp(-mass)
+        return None
 
     def to_dict(self) -> dict:
         return {"kind": "corollary", "schedule": self.schedule.to_dict()}
 
 
 FieldSpec = Union[BerksonPortaField, ReciprocalField, CorollaryField]
-
-
-def field_eval(spec: FieldSpec, z, t: float = 0.0):
-    """G(z, t) for any field variant."""
-    return spec.evaluate(z, t)
-
-
-def berkson_porta_p(spec: FieldSpec, z, t: float = 0.0):
-    """The Herglotz factor p with G(z,t) = (tau-z)(1-conj(tau) z) p(z,t).
-
-    Every variant factors this way (for the corollary variant tau = 1 and
-    p(z,t) = (1+z) q(z,t) / 4); the extracted p must have Re p >= 0 on the
-    disk, which is the admissibility test for being a generator.
-    """
-    return spec.p_at(t)(z)
-
-
-def prescribed_null_points(spec: FieldSpec) -> tuple[BoundaryPoint, ...]:
-    """Boundary points the field data forces to be null points of G."""
-    if isinstance(spec, ReciprocalField):
-        return tuple(p for p, _ in spec.data)
-    if isinstance(spec, CorollaryField):
-        return (BoundaryPoint(math.pi),)
-    return ()
-
-
-def dw_point(spec: FieldSpec) -> complex:
-    """The Denjoy-Wolff point the field data prescribes."""
-    if isinstance(spec, CorollaryField):
-        return 1.0 + 0j
-    return spec.tau
 
 
 @dataclass(frozen=True)
@@ -327,7 +344,7 @@ def null_quotient(
         raise DomainError("radii must be strictly increasing inside (0, 1)")
     s = sigma.value
     zs = np.asarray([r * s for r in radii])
-    quotients = spec.evaluate(zs, t) / (zs - s)
+    quotients = spec.frozen_at(t)(zs) / (zs - s)
     ex = richardson(quotients)
     diverged = ex.grew_unboundedly or ex.error > 1e-6 * (1.0 + abs(ex.value))
     return NullQuotient(sigma, ex.value, t, ex.error, diverged)
@@ -342,51 +359,54 @@ def _tau_to_dict(tau: complex) -> dict:
 def _tau_from_dict(d: dict, ptr: str) -> complex:
     if "angle" in d:
         return BoundaryPoint(json_number(d["angle"], f"{ptr}/angle")).value
-    return complex(json_number(d["re"], f"{ptr}/re"), json_number(d["im"], f"{ptr}/im"))
-
-
-def field_to_dict(spec: FieldSpec) -> dict:
-    return spec.to_dict()
+    return complex(json_number(json_member(d, "re", ptr), f"{ptr}/re"),
+                   json_number(json_member(d, "im", ptr), f"{ptr}/im"))
 
 
 def field_from_dict(d: dict, validate: bool = True, ptr: str = "") -> FieldSpec:
-    """Read ``field_to_dict`` output; ``ptr`` is the JSON pointer of ``d``,
-    so a member that is not a finite number is reported where it sits."""
-    kind = d.get("kind")
+    """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``, so a
+    member that is missing or not a finite number, a malformed schedule and
+    a corollary segment that breaks the corollary rule raise ConfigError
+    where they sit.  ``validate=False`` skips the corollary rule."""
+    kind = json_member(d, "kind", ptr)
     if kind == "berkson_porta":
         _forbid(d, ("data", "schedule"))
-        p, pp = d["p"], f"{ptr}/p"
+        p, pp = json_member(d, "p", ptr), f"{ptr}/p"
+        tau = _tau_from_dict(json_member(d, "tau", ptr), f"{ptr}/tau")
         if "const_re" in p:
             return BerksonPortaField(
-                _tau_from_dict(d["tau"], f"{ptr}/tau"),
-                p_const=complex(json_number(p["const_re"], f"{pp}/const_re"),
+                tau,
+                p_const=complex(json_number(json_member(p, "const_re", pp), f"{pp}/const_re"),
                                 json_number(p.get("const_im", 0.0), f"{pp}/const_im")),
             )
         if "measure" in p:
             return BerksonPortaField(
-                _tau_from_dict(d["tau"], f"{ptr}/tau"),
+                tau,
                 p_measure=AtomicCircleMeasure.from_dict(p["measure"], f"{pp}/measure"),
                 imag_const=json_number(p.get("imag_const", 0.0), f"{pp}/imag_const"),
             )
         if "schedule" in p:
             return BerksonPortaField(
-                _tau_from_dict(d["tau"], f"{ptr}/tau"),
+                tau,
                 p_schedule=MeasureSchedule.from_dict(p["schedule"], f"{pp}/schedule"),
                 imag_const=json_number(p.get("imag_const", 0.0), f"{pp}/imag_const"),
             )
         raise ValidationError("berkson_porta payload p must give const, measure or schedule")
     if kind == "reciprocal":
         _forbid(d, ("p", "schedule"))
-        data = tuple(
-            (BoundaryPoint(json_number(e["angle"], f"{ptr}/data/{i}/angle")),
-             json_number(e["alpha"], f"{ptr}/data/{i}/alpha"))
-            for i, e in enumerate(d["data"])
-        )
-        return ReciprocalField(_tau_from_dict(d["tau"], f"{ptr}/tau"), data)
+        data = []
+        for i, e in enumerate(json_member(d, "data", ptr)):
+            ep = f"{ptr}/data/{i}"
+            data.append((BoundaryPoint(json_number(json_member(e, "angle", ep), f"{ep}/angle")),
+                         json_number(json_member(e, "alpha", ep), f"{ep}/alpha")))
+        return ReciprocalField(_tau_from_dict(json_member(d, "tau", ptr), f"{ptr}/tau"), data)
     if kind == "corollary":
         _forbid(d, ("p", "data", "tau"))
-        return CorollaryField(MeasureSchedule.from_dict(d["schedule"], f"{ptr}/schedule"),
-                              check=validate)
+        sched = MeasureSchedule.from_dict(json_member(d, "schedule", ptr), f"{ptr}/schedule")
+        fault = _corollary_segment_fault(sched) if validate else None
+        if fault is not None:
+            raise ConfigError(fault[1], pointer=f"{ptr}/schedule/segments/{fault[0]}/measure")
+        return CorollaryField(sched, check=False)
     raise ValidationError(f"unknown field kind {kind!r}")
 
 
@@ -488,6 +508,3 @@ def build_three_brfp_map(
         rep, xi1, xi2, tau, sigma1, sigma2, cayley_in, align, m1, m2
     )
 
-
-def three_brfp_map_eval(m: ThreeBrfpMap, z):
-    return m(z)

@@ -13,11 +13,14 @@ State may be a single complex number or a numpy array of them; an array
 is advanced as one system with a shared step sequence.  ``evolve_at``
 returns the states at several times from one integration, cutting the
 windows at those times; ``evolve`` is its one-time case.
+``evolution_map`` is the one evaluator of phi_{s,t}: interior points,
+circle points where the field is tangent, and the exact identity at
+s = t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,30 +241,6 @@ def rk4_oracle(spec: FieldSpec, s: float, t: float, z, n_steps: int):
     return _unwrap(y) if scalar else y
 
 
-@dataclass(frozen=True)
-class EvolutionEvaluator:
-    """phi_{s,t} as an evaluate-at-point service; the s = t evaluator is
-    the identity exactly, with no integration performed."""
-
-    spec: FieldSpec
-    s: float
-    t: float
-    tol: ToleranceSettings = field(default_factory=ToleranceSettings)
-
-    def __post_init__(self) -> None:
-        _validate_window(self.s, self.t)
-
-    def __call__(self, z):
-        if self.t == self.s:
-            return z if not isinstance(z, np.ndarray) else z.copy()
-        return evolve(self.spec, self.s, self.t, z, self.tol)
-
-
-def evolution_map(spec: FieldSpec, s: float, t: float,
-                  tol: ToleranceSettings | None = None) -> EvolutionEvaluator:
-    return EvolutionEvaluator(spec, s, t, tol or DEFAULT_TOL)
-
-
 def autonomous_semiflow(spec: FieldSpec, t: float, z,
                         tol: ToleranceSettings | None = None):
     """phi_t(z) for a time-constant field; phi_{t+s} = phi_t o phi_s."""
@@ -309,18 +288,27 @@ def evolve_on_circle(spec: FieldSpec, s: float, t: float, theta,
     return float(out[0]) if scalar else out
 
 
-class FlowWithBoundary:
-    """Evaluator for phi_{s,t} that accepts interior points and, where the
-    field is circle-tangent, boundary points as well."""
+@dataclass(frozen=True)
+class EvolutionEvaluator:
+    """phi_{s,t} as an evaluate-at-point service.
 
-    def __init__(self, spec: FieldSpec, s: float, t: float,
-                 tol: ToleranceSettings | None = None):
-        self.spec = spec
-        self.s = s
-        self.t = t
-        self.tol = tol or DEFAULT_TOL
+    Interior points are integrated; points of the unit circle (a whole
+    array of them, or one) follow the boundary flow, which needs the field
+    to be tangent there.  The s = t evaluator is the identity exactly, with
+    no integration performed.
+    """
+
+    spec: FieldSpec
+    s: float
+    t: float
+    tol: ToleranceSettings = DEFAULT_TOL
+
+    def __post_init__(self) -> None:
+        _validate_window(self.s, self.t)
 
     def __call__(self, z):
+        if self.t == self.s:
+            return z if not isinstance(z, np.ndarray) else z.copy()
         if isinstance(z, np.ndarray):
             mods = np.abs(z)
             if np.max(np.abs(mods - 1.0)) <= 1e-12:
@@ -329,8 +317,12 @@ class FlowWithBoundary:
             if np.max(mods) < 1.0:
                 return evolve(self.spec, self.s, self.t, z, self.tol)
             raise DomainError("mixed interior/boundary evaluation batch")
-        m = abs(z)
-        if abs(m - 1.0) <= 1e-12:
+        if abs(abs(z) - 1.0) <= 1e-12:
             ang = evolve_on_circle(self.spec, self.s, self.t, float(np.angle(z)), self.tol)
             return complex(np.exp(1j * ang))
         return evolve(self.spec, self.s, self.t, complex(z), self.tol)
+
+
+def evolution_map(spec: FieldSpec, s: float, t: float,
+                  tol: ToleranceSettings | None = None) -> EvolutionEvaluator:
+    return EvolutionEvaluator(spec, s, t, tol or DEFAULT_TOL)

@@ -26,6 +26,17 @@ def json_number(v, ptr: str) -> float:
     return f
 
 
+def json_member(d, key: str, ptr: str):
+    """``d[key]`` for the JSON object ``d`` at the pointer ``ptr``; a
+    missing member raises ConfigError at the member's own pointer, and a
+    ``d`` that is not an object raises it at ``ptr``."""
+    if not isinstance(d, dict):
+        raise ConfigError("expected an object", pointer=ptr)
+    if key not in d:
+        raise ConfigError(f"missing required member {key!r}", pointer=f"{ptr}/{key}")
+    return d[key]
+
+
 @dataclass(frozen=True)
 class CircleAtom:
     position: BoundaryPoint
@@ -90,11 +101,12 @@ class AtomicCircleMeasure:
     @classmethod
     def from_dict(cls, d: dict, ptr: str = "") -> "AtomicCircleMeasure":
         """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``."""
-        atoms = tuple(
-            CircleAtom(BoundaryPoint(json_number(a["angle"], f"{ptr}/atoms/{i}/angle")),
-                       json_number(a["weight"], f"{ptr}/atoms/{i}/weight"))
-            for i, a in enumerate(d["atoms"])
-        )
+        atoms = []
+        for i, a in enumerate(json_member(d, "atoms", ptr)):
+            ap = f"{ptr}/atoms/{i}"
+            atoms.append(CircleAtom(
+                BoundaryPoint(json_number(json_member(a, "angle", ap), f"{ap}/angle")),
+                json_number(json_member(a, "weight", ap), f"{ap}/weight")))
         exc = d.get("excluded_angle")
         if exc is None:
             return cls(atoms, None)
@@ -227,24 +239,24 @@ class MeasureSchedule:
 
     @classmethod
     def from_dict(cls, d: dict, ptr: str = "") -> "MeasureSchedule":
-        """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``."""
-        segs = tuple(
-            ScheduleSegment(
-                json_number(s["t0"], f"{ptr}/segments/{i}/t0"),
-                json_number(s["t1"], f"{ptr}/segments/{i}/t1"),
-                AtomicCircleMeasure.from_dict(s["measure"], f"{ptr}/segments/{i}/measure"),
-            )
-            for i, s in enumerate(d["segments"])
-        )
-        hold_last = d.get("hold_last", False)
-        if not isinstance(hold_last, bool):
-            raise ConfigError("hold_last must be true or false", pointer=f"{ptr}/hold_last")
-        return cls(segs, hold_last)
-
-
-def measure_at(schedule: MeasureSchedule, t: float) -> AtomicCircleMeasure:
-    """Functional form of MeasureSchedule.measure_at."""
-    return schedule.measure_at(t)
+        """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``.
+        A schedule that breaks a structural invariant, or whose members
+        have the wrong JSON types, raises ConfigError at ``ptr``."""
+        try:
+            segs = []
+            for i, s in enumerate(json_member(d, "segments", ptr)):
+                sp = f"{ptr}/segments/{i}"
+                segs.append(ScheduleSegment(
+                    json_number(json_member(s, "t0", sp), f"{sp}/t0"),
+                    json_number(json_member(s, "t1", sp), f"{sp}/t1"),
+                    AtomicCircleMeasure.from_dict(json_member(s, "measure", sp),
+                                                  f"{sp}/measure")))
+            hold_last = d.get("hold_last", False)
+            if not isinstance(hold_last, bool):
+                raise ConfigError("hold_last must be true or false", pointer=f"{ptr}/hold_last")
+            return cls(segs, hold_last)
+        except (ValidationError, TypeError) as exc:
+            raise ConfigError(str(exc), pointer=ptr) from None
 
 
 def _guard_poles(den) -> None:

@@ -25,7 +25,6 @@ from loewner import (
     normalize_fix_origin,
 )
 from loewner.grids import disk_grid_100, upper_half_plane_grid
-from loewner.integrate import FlowWithBoundary
 from conftest import (
     corollary_delta,
     example_three_atoms,
@@ -317,14 +316,14 @@ class TestArcLength:
             check_arc_length(failing_on_arrays(TypeError("bug")), (0.0, 1.0), samples=64)
 
     def test_flow_with_boundary_equality_case(self):
-        flow = FlowWithBoundary(corollary_delta(PI), 0.0, 1.0)
+        flow = evolution_map(corollary_delta(PI), 0.0, 1.0)
         g = normalize_fix_origin(flow)
         res = check_arc_length(g, (PI + 0.2, 2 * PI - 0.2), samples=256)
         assert res.applicable and res.passed
         assert res.len_image == pytest.approx(res.len_arc, abs=1e-8)
 
     def test_flow_with_boundary_strict_case(self, cor_i):
-        flow = FlowWithBoundary(cor_i, 0.0, 1.0)
+        flow = evolution_map(cor_i, 0.0, 1.0)
         g = normalize_fix_origin(flow)
         res = check_arc_length(g, (PI + 0.2, 2 * PI - 0.2), samples=256)
         assert res.applicable and res.passed

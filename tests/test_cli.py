@@ -98,7 +98,36 @@ class TestVerifyCommand:
         ({"field": {"kind": "reciprocal", "tau": {"angle": math.nan},
                     "data": [{"angle": 2.0, "alpha": 1.0}]},
           "fixed_points": [{"angle": 0.0, "expected_role": "dw"}]}, "/field/tau/angle"),
-    ], ids=["tolerances-list", "string-angle", "list-check-name", "bool-angles", "nan-angle"])
+        ({"field": {"kind": "reciprocal", "tau": {"angle": 0.0}, "data": [{"angle": 2.0}]},
+          "fixed_points": []}, "/field/data/0/alpha"),
+        ({"field": {"kind": "reciprocal", "tau": {"angle": 0.0}, "data": [5]},
+          "fixed_points": []}, "/field/data/0"),
+        ({"field": {"kind": "reciprocal", "data": [{"angle": 2.0, "alpha": 1.0}]},
+          "fixed_points": []}, "/field/tau"),
+        ({"field": {"kind": "berkson_porta", "tau": {"angle": 0.0}}, "fixed_points": []},
+         "/field/p"),
+        ({"field": {"kind": "corollary", "schedule": {}}}, "/field/schedule/segments"),
+        ({"field": {"kind": "corollary", "schedule": {"segments": [
+            {"t0": 0, "measure": {"atoms": [], "excluded_angle": 0.0}}]}}},
+         "/field/schedule/segments/0/t1"),
+        ({"field": {"kind": "corollary", "schedule": {"segments": [
+            {"t0": 0, "t1": 1, "measure": {"atoms": [{"angle": PI}], "excluded_angle": 0.0}}]}}},
+         "/field/schedule/segments/0/measure/atoms/0/weight"),
+        # schedule structure: the second segment does not start where the first ends
+        ({"field": {"kind": "corollary", "schedule": {"segments": [
+            {"t0": 0, "t1": 1, "measure": {"atoms": [{"angle": PI, "weight": 1.0}],
+                                           "excluded_angle": 0.0}},
+            {"t0": 2, "t1": 3, "measure": {"atoms": [{"angle": PI, "weight": 1.0}],
+                                           "excluded_angle": 0.0}}]}}}, "/field/schedule"),
+        ({"field": {"kind": "berkson_porta", "tau": {"angle": 0.0}, "p": {"schedule": {
+            "segments": [{"t0": 0, "t1": 1, "measure": {"atoms": []}},
+                         {"t0": 2, "t1": 3, "measure": {"atoms": []}}]}}},
+          "fixed_points": []}, "/field/p/schedule"),
+        ({"integration": {"t0": 0, "t1": 2}}, "/integration/t1"),
+    ], ids=["tolerances-list", "string-angle", "list-check-name", "bool-angles", "nan-angle",
+            "missing-alpha", "non-object-data-entry", "missing-tau", "missing-p", "missing-segments",
+            "missing-segment-t1", "missing-atom-weight", "corollary-schedule-gap",
+            "berkson-porta-schedule-gap", "t1-past-schedule"])
     def test_malformed_members_name_their_pointer(self, tmp_path, capsys, overrides, pointer):
         cfg = write_config(tmp_path, **overrides)
         assert main(["verify", "--config", str(cfg)]) == 2

@@ -98,6 +98,26 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(as_bytes(d))
 
+    def test_corollary_excluded_angle_matches_within_angle_gap(self):
+        d = variant()
+        measure = d["field"]["schedule"]["segments"][0]["measure"]
+        measure["excluded_angle"] = 1e-13
+        parse_config(as_bytes(d))
+        measure["excluded_angle"] = 1e-10
+        with pytest.raises(ConfigError) as e:
+            parse_config(as_bytes(d))
+        assert e.value.pointer == "/field/schedule/segments/0/measure"
+        assert "exclude angle 0" in str(e.value)
+
+    def test_t1_past_schedule_end(self):
+        d = variant(integration={"t0": 0, "t1": 2})
+        with pytest.raises(ConfigError) as e:
+            parse_config(as_bytes(d))
+        assert e.value.pointer == "/integration/t1"
+        assert "t1 = 2.0 is past the schedule end 1.0" in str(e.value)
+        d["field"]["schedule"]["hold_last"] = True
+        assert parse_config(as_bytes(d)).integration.t1 == 2.0
+
     def test_tolerance_override_for_unknown_check(self):
         d = variant(tolerances={"nope": 1.0})
         with pytest.raises(ConfigError) as e:
@@ -105,7 +125,60 @@ class TestParsing:
         assert e.value.pointer == "/tolerances/nope"
 
 
+RECIPROCAL_DATA = [{"angle": 2 * PI / 3, "alpha": 1.0}, {"angle": 4 * PI / 3, "alpha": 1.0}]
+
+FIELDS = {
+    "corollary": MINIMAL["field"],
+    "reciprocal-circle": {"kind": "reciprocal", "tau": {"angle": 0.0}, "data": RECIPROCAL_DATA},
+    "reciprocal-inside": {"kind": "reciprocal", "tau": {"re": 0.2, "im": 0.0},
+                          "data": RECIPROCAL_DATA},
+    "berkson_porta-circle": {"kind": "berkson_porta", "tau": {"angle": 0.0},
+                             "p": {"const_re": 1.0}},
+    "berkson_porta-inside": {"kind": "berkson_porta", "tau": {"re": 0.2, "im": 0.0},
+                             "p": {"const_re": 1.0}},
+}
+
+#: (field, expected_role, angle, accepted); fixed points match field data
+#: within 1e-9 radians
+FIXED_POINT_TABLE = [
+    ("corollary", "brfp", PI, True),
+    ("corollary", "brfp", PI + 5e-10, True),
+    ("corollary", "brfp", PI + 2e-9, False),
+    ("corollary", "brfp", 1.0, False),
+    ("corollary", "dw", 0.0, True),
+    ("corollary", "dw", 2 * PI - 5e-10, True),
+    ("corollary", "dw", PI, False),
+    ("reciprocal-circle", "brfp", 2 * PI / 3, True),
+    ("reciprocal-circle", "brfp", 4 * PI / 3 - 5e-10, True),
+    ("reciprocal-circle", "brfp", 1.0, False),
+    ("reciprocal-circle", "brfp", 0.0, False),
+    ("reciprocal-circle", "dw", 0.0, True),
+    ("reciprocal-circle", "dw", 2e-9, False),
+    ("reciprocal-circle", "dw", 2 * PI / 3, False),
+    ("reciprocal-inside", "brfp", 4 * PI / 3, True),
+    ("reciprocal-inside", "brfp", 1.0, False),
+    ("reciprocal-inside", "dw", 0.0, False),
+    ("reciprocal-inside", "dw", PI, False),
+    ("berkson_porta-circle", "brfp", 0.0, False),
+    ("berkson_porta-circle", "brfp", PI, False),
+    ("berkson_porta-circle", "dw", 0.0, True),
+    ("berkson_porta-circle", "dw", PI, False),
+    ("berkson_porta-inside", "brfp", PI, False),
+    ("berkson_porta-inside", "dw", 0.0, False),
+]
+
+
 class TestFixedPointConsistency:
+    @pytest.mark.parametrize("field,role,angle,accepted", FIXED_POINT_TABLE)
+    def test_accept_reject_table(self, field, role, angle, accepted):
+        d = variant(field=FIELDS[field], fixed_points=[{"angle": angle, "expected_role": role}])
+        if accepted:
+            assert parse_config(as_bytes(d)).fixed_points[0].role == role
+        else:
+            with pytest.raises(ConfigError) as e:
+                parse_config(as_bytes(d))
+            assert e.value.pointer == "/fixed_points/0"
+
     def test_corollary_roles(self):
         d = variant(fixed_points=[{"angle": PI, "expected_role": "brfp"},
                                   {"angle": 0.0, "expected_role": "dw"}])

@@ -1,14 +1,18 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loewner
 from loewner import (
     BerksonPortaField,
     BoundaryPoint,
+    ConfigError,
     CorollaryField,
     DomainError,
     InfeasibleError,
@@ -18,17 +22,13 @@ from loewner import (
     ScheduleSegment,
     ValidationError,
     angular_derivative,
-    berkson_porta_p,
     build_three_brfp_map,
     circle_measure,
     corollary_q_eval,
-    field_eval,
     field_from_dict,
-    field_to_dict,
     herglotz_eval,
     null_quotient,
     pseudo_hyperbolic_distance,
-    three_brfp_map_eval,
 )
 from loewner.grids import disk_grid_256
 from conftest import (
@@ -50,48 +50,48 @@ def atom_map(mass=1.0):
 
 class TestFieldEval:
     def test_radial(self):
-        assert field_eval(radial_field(), 0.3 + 0j) == pytest.approx(-0.3)
+        assert radial_field().frozen_at(0.0)(0.3 + 0j) == pytest.approx(-0.3)
 
     def test_parabolic(self):
         fld = parabolic_field()
         for z in (0j, 0.4 - 0.2j):
-            assert field_eval(fld, z) == pytest.approx((1 - z) ** 2)
+            assert fld.frozen_at(0.0)(z) == pytest.approx((1 - z) ** 2)
 
     def test_corollary_single_atom_closed_form(self):
         fld = corollary_delta(PI)
-        assert field_eval(fld, 0j, 0.0) == pytest.approx(0.5)
+        assert fld.frozen_at(0.0)(0j) == pytest.approx(0.5)
         for z in (0.3 + 0.1j, -0.6j, 0.8 + 0j):
-            assert field_eval(fld, z, 0.5) == pytest.approx(0.5 * (1 - z * z))
+            assert fld.frozen_at(0.5)(z) == pytest.approx(0.5 * (1 - z * z))
 
     def test_corollary_vanishes_at_both_ends(self):
         fld = corollary_delta(PI / 2)
         for r in (0.9, 0.99, 0.999):
-            assert abs(field_eval(fld, r + 0j, 0.5)) < 3 * (1 - r)
-            assert abs(field_eval(fld, -r + 0j, 0.5)) < 3 * (1 - r)
+            assert abs(fld.frozen_at(0.5)(r + 0j)) < 3 * (1 - r)
+            assert abs(fld.frozen_at(0.5)(-r + 0j)) < 3 * (1 - r)
 
     def test_reciprocal_zero_set(self):
         fld = example_three_atoms()
         radii = [0.9, 0.99, 0.999, 0.9999]
         for sigma, _ in fld.data:
-            mags = [abs(field_eval(fld, r * sigma.value)) for r in radii]
+            mags = [abs(fld.frozen_at(0.0)(r * sigma.value)) for r in radii]
             assert all(b < a for a, b in zip(mags, mags[1:]))
             assert mags[-1] < 1e-3
 
     def test_corollary_zero_at_prescribed_point(self):
         fld = corollary_delta(PI / 2)
         radii = [0.9, 0.99, 0.999, 0.9999]
-        mags = [abs(field_eval(fld, -r + 0j, 0.5)) for r in radii]
+        mags = [abs(fld.frozen_at(0.5)(-r + 0j)) for r in radii]
         assert all(b < a for a, b in zip(mags, mags[1:]))
 
     def test_schedule_domain_error_propagates(self):
         fld = corollary_delta(PI, t_end=1.0)
         with pytest.raises(DomainError):
-            field_eval(fld, 0j, 2.0)
+            fld.frozen_at(2.0)(0j)
 
     def test_two_segment_switches(self):
         fld = two_segment_field()
-        assert field_eval(fld, 0j, 0.5) == pytest.approx(0.5)
-        assert field_eval(fld, 0j, 1.0) == pytest.approx(0.25 * (1 - 1j))
+        assert fld.frozen_at(0.5)(0j) == pytest.approx(0.5)
+        assert fld.frozen_at(1.0)(0j) == pytest.approx(0.25 * (1 - 1j))
 
 
 @st.composite
@@ -165,7 +165,7 @@ class TestGeneratorAdmissibility:
         ids=["radial", "parabolic", "three-atoms", "cor-pi", "cor-i", "two-seg"],
     )
     def test_herglotz_factor_has_nonnegative_real_part(self, fld):
-        p = berkson_porta_p(fld, disk_grid_256(), 0.0)
+        p = fld.p_at(0.0)(disk_grid_256())
         assert float(np.min(np.asarray(p).real)) >= 0.0
 
 
@@ -198,6 +198,50 @@ class TestNullQuotient:
             null_quotient(radial_field(), BoundaryPoint(0.0), radii=[0.9, 0.5])
 
 
+class TestFieldData:
+    def test_tau_and_null_points(self):
+        cor = corollary_delta(PI)
+        assert cor.tau == 1.0 + 0j
+        assert cor.null_points == (BoundaryPoint(PI),)
+        rec = example_three_atoms()
+        assert rec.tau == 0j
+        assert rec.null_points == tuple(p for p, _ in rec.data)
+        assert parabolic_field().tau == 1.0 + 0j
+        assert parabolic_field().null_points == ()
+
+    def test_corollary_expected_dilation_closed_form(self):
+        fld = two_segment_field()
+        s, t = 0.25, 1.75
+        assert fld.expected_dilation(BoundaryPoint(PI), s, t) == math.exp(t - s)
+        mass = fld.schedule.integrate_mass_at(BoundaryPoint(PI), s, t)
+        assert mass == pytest.approx(0.75)
+        assert fld.expected_dilation(BoundaryPoint(0.0), s, t) == math.exp(-mass)
+        assert fld.expected_dilation(BoundaryPoint(PI / 2), s, t) is None
+
+    def test_reciprocal_expected_dilation_integrates_null_quotient(self):
+        fld = example_three_atoms()
+        for sigma, alpha in fld.data:
+            expected = fld.expected_dilation(sigma, 0.5, 1.5)
+            assert expected == pytest.approx(math.exp(1.0 / (2.0 * alpha)), rel=1e-7)
+        assert radial_field().expected_dilation(BoundaryPoint(0.0), 0.0, 1.0) is None
+
+    def test_field_classes_stay_in_generators(self):
+        """No module but generators (and the package's re-exports) names a
+        field class; the others use the shared field interface."""
+        classes = {"BerksonPortaField", "ReciprocalField", "CorollaryField"}
+        offenders = []
+        for path in sorted(Path(loewner.__file__).parent.glob("*.py")):
+            if path.name in ("generators.py", "__init__.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name in classes:
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+        assert offenders == []
+
+
 class TestThreeBrfpBuild:
     def test_hand_solved_system(self):
         m = atom_map(1.0)
@@ -214,7 +258,7 @@ class TestThreeBrfpBuild:
         assert m.rep.beta == pytest.approx(1.0)
         assert m.tau_dilation == pytest.approx(1.0)
         for z in (0j, 0.3 - 0.4j, 0.9j):
-            assert three_brfp_map_eval(m, z) == pytest.approx(z, abs=1e-13)
+            assert m(z) == pytest.approx(z, abs=1e-13)
 
     def test_interior_support_beta_formula(self):
         atoms = ((-0.5, 0.3), (0.2, 1.1), (0.7, 0.05))
@@ -265,26 +309,26 @@ class TestThreeBrfpEval:
     def test_radial_limit_at_tau(self):
         m = atom_map(1.0)
         tau = m.tau.value
-        gaps = [abs(three_brfp_map_eval(m, r * tau) - tau) for r in (0.9, 0.99, 0.999)]
+        gaps = [abs(m(r * tau) - tau) for r in (0.9, 0.99, 0.999)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_fixes_all_three_targets_radially(self):
         m = atom_map(2.0)
         for p in (m.sigma1, m.sigma2, m.tau):
             z = 0.9999 * p.value
-            assert abs(three_brfp_map_eval(m, z) - p.value) < 1e-3
+            assert abs(m(z) - p.value) < 1e-3
 
     def test_maps_into_disk(self):
         m = atom_map(1.0)
         zs = disk_grid_256()
-        ws = three_brfp_map_eval(m, zs)
+        ws = m(zs)
         assert float(np.max(np.abs(ws))) < 1.0
 
     def test_strict_schwarz_pick(self):
         m = atom_map(1.0)
         before = pseudo_hyperbolic_distance(0.2 + 0j, -0.2 + 0j)
         after = pseudo_hyperbolic_distance(
-            three_brfp_map_eval(m, 0.2 + 0j), three_brfp_map_eval(m, -0.2 + 0j)
+            m(0.2 + 0j), m(-0.2 + 0j)
         )
         assert after < before
 
@@ -312,7 +356,7 @@ class TestFieldJson:
         ids=["radial", "parabolic", "three-atoms", "cor-pi", "two-seg"],
     )
     def test_round_trip(self, fld):
-        again = field_from_dict(json.loads(json.dumps(field_to_dict(fld))))
+        again = field_from_dict(json.loads(json.dumps(fld.to_dict())))
         assert again == fld
 
     def test_unknown_kind(self):
@@ -320,7 +364,7 @@ class TestFieldJson:
             field_from_dict({"kind": "nope"})
 
     def test_foreign_payload_rejected(self):
-        d = field_to_dict(corollary_delta(PI))
+        d = corollary_delta(PI).to_dict()
         d["data"] = []
         with pytest.raises(ValidationError):
             field_from_dict(d)
@@ -331,10 +375,11 @@ class TestFieldJson:
             "schedule": {"segments": [{"t0": 0.0, "t1": 1.0, "measure": {
                 "atoms": [{"angle": PI, "weight": 1.5}], "excluded_angle": 0.0}}]},
         }
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError) as e:
             field_from_dict(bad)
+        assert e.value.pointer == "/schedule/segments/0/measure"
         fld = field_from_dict(bad, validate=False)
-        assert field_eval(fld, 0j, 0.5) == pytest.approx(0.75)
+        assert fld.frozen_at(0.5)(0j) == pytest.approx(0.75)
 
 
 class TestFieldValidation:

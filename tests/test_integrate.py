@@ -44,9 +44,6 @@ class OutwardField:
     def frozen_at(self, t):
         return lambda z: np.ones_like(z) if isinstance(z, np.ndarray) else 1.0 + 0j
 
-    def evaluate(self, z, t=0.0):
-        return self.frozen_at(t)(z)
-
 
 class ExcursionField(OutwardField):
     """Test double: rotation about 0.6, G(z) = i (z - 0.6).  The orbit of
@@ -149,7 +146,7 @@ class TestEvolutionFamilyLaws:
         states = [evolve(fld, 0.0, float(t), z) for t in times]
         # segments are right-open, so sample the field just inside the end
         bound = max(
-            abs(fld.evaluate(w, min(float(t), 2.0 - 1e-9))) for t, w in zip(times, states)
+            abs(fld.frozen_at(min(float(t), 2.0 - 1e-9))(w)) for t, w in zip(times, states)
         )
         for (ta, wa), (tb, wb) in zip(zip(times, states), zip(times[1:], states[1:])):
             assert abs(wb - wa) <= 1.05 * bound * (tb - ta) + 1e-12

@@ -20,7 +20,6 @@ from loewner import (
     circle_measure,
     corollary_q_eval,
     herglotz_eval,
-    measure_at,
     nevanlinna_eval,
 )
 from loewner.grids import disk_grid_256, upper_half_plane_grid
@@ -191,20 +190,20 @@ class TestMeasureSchedule:
         sched = MeasureSchedule(
             (ScheduleSegment(0.0, 1.0, circle_measure([(PI, 1.0)], excluded_angle=0.0)),)
         )
-        assert measure_at(sched, 0.5).atoms[0].position == BoundaryPoint(PI)
+        assert sched.measure_at(0.5).atoms[0].position == BoundaryPoint(PI)
 
     def test_boundary_resolves_right(self):
         sched = self.make()
-        assert measure_at(sched, 1.0).atoms[0].position == BoundaryPoint(PI / 2)
+        assert sched.measure_at(1.0).atoms[0].position == BoundaryPoint(PI / 2)
 
     def test_negative_time(self):
         with pytest.raises(DomainError):
-            measure_at(self.make(), -0.1)
+            self.make().measure_at(-0.1)
 
     def test_past_end_without_hold_last(self):
         with pytest.raises(DomainError):
-            measure_at(self.make(), 2.0)
-        assert measure_at(self.make(hold_last=True), 5.0).atoms[0].position == BoundaryPoint(PI / 2)
+            self.make().measure_at(2.0)
+        assert self.make(hold_last=True).measure_at(5.0).atoms[0].position == BoundaryPoint(PI / 2)
 
     def test_must_start_at_zero(self):
         with pytest.raises(ValidationError):
