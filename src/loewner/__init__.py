@@ -15,7 +15,6 @@ from .boundary import (
     check_julia,
     dilation_curve,
     estimate_dw,
-    julia_alpha,
     normalize_fix_origin,
 )
 from .disk import (
@@ -50,8 +49,9 @@ from .generators import (
 )
 from .integrate import (
     EvolutionEvaluator,
+    SolverStats,
     ToleranceSettings,
-    autonomous_semiflow,
+    collect_stats,
     evolution_map,
     evolve,
     evolve_at,

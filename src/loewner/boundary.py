@@ -99,25 +99,6 @@ def _estimate(sigma: BoundaryPoint, omega: BoundaryPoint, kept_r,
     return AngularDerivativeEstimate(sigma, omega, normalized.real, raw, error, False)
 
 
-def julia_alpha(map_fn, sigma: BoundaryPoint, radii=None) -> float:
-    """Radial limit of (1 - |map(r sigma)|)/(1 - r); equals the dilation
-    at a boundary regular fixed point.  Divergence returns +inf.
-
-    Callers are expected to pass univalent self-maps of the disk; for
-    non-univalent maps the radial quotient is not the boundary liminf
-    and nothing here would detect that.
-    """
-    radii = _check_radii(default_radii() if radii is None else radii)
-    kept_r, ws = _eval_along_radius(map_fn, sigma, radii)
-    if len(kept_r) < 4:
-        return math.inf
-    quotients = [(1.0 - abs(w)) / (1.0 - r) for r, w in zip(kept_r, ws)]
-    ex = richardson(quotients)
-    if ex.grew_unboundedly:
-        return math.inf
-    return ex.value.real
-
-
 @dataclass(frozen=True)
 class JuliaCheckResult:
     sigma: BoundaryPoint

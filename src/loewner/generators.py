@@ -25,17 +25,19 @@ generic (tau - z)(1 - conj(tau) z) p form would move floats.
 
 Fields are immutable; evaluation is pure.  Within one schedule segment
 every variant is constant in time, which the integrator exploits via
-``frozen_at``: it packs the atoms of the window's measure once, as
-``(m, 1)`` numpy columns, and returns a kernel that evaluates every atom
-term of an array state in one broadcast expression and adds the terms
-in one pass.  All three variants share that kernel.
+``frozen_at``: each variant describes the segment's kernel as
+``KernelData`` (``kernel_data(t)``: its formula, tau, and the atoms of
+the window's measure), and ``frozen_at(t)`` is that data's numpy kernel.
+It packs the atoms once, as ``(m, 1)`` numpy columns, evaluates every
+atom term of an array state in one broadcast expression and adds the
+terms in one pass.  The compiled RK4 window reads the same data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -47,6 +49,9 @@ from .measures import (
     MeasureSchedule,
     NevanlinnaRep,
     RealAtomicMeasure,
+    ScheduleSegment,
+    at_pointer,
+    circle_measure,
     json_member,
     json_number,
     nevanlinna_eval,
@@ -95,11 +100,58 @@ def _atom_sum(term, start: complex, atoms) -> Callable:
     return kernel
 
 
-def _herglotz_sum(atoms, imag_const: float = 0.0) -> Callable:
-    """z -> i c + sum_j w_j (s_j + z)/(s_j - z) over the atoms (s_j, w_j)."""
+def _herglotz_start(imag_const: float) -> complex:
     # + 0j turns the real part of 1j * c, -0.0 for c < 0, into the +0.0
     # that the reference sum over a zero-filled array starts from
-    return _atom_sum(_herglotz_term, 1j * imag_const + 0j, atoms)
+    return 1j * imag_const + 0j
+
+
+def _herglotz_sum(atoms, imag_const: float = 0.0) -> Callable:
+    """z -> i c + sum_j w_j (s_j + z)/(s_j - z) over the atoms (s_j, w_j)."""
+    return _atom_sum(_herglotz_term, _herglotz_start(imag_const), atoms)
+
+
+def _constant(c: complex) -> Callable:
+    return lambda z: c if not isinstance(z, np.ndarray) else np.full_like(z, c)
+
+
+class KernelData(NamedTuple):
+    """The field kernel of one window as plain numbers.  ``kernel()``
+    evaluates it in numpy, and the compiled RK4 window (``_rk4.c``)
+    evaluates the same expressions in the same order.
+
+    ``kind`` names the formula: ``"bp_const"`` and ``"bp_herglotz"`` are
+    (tau - z)(1 - conj(tau) z) p(z), ``"reciprocal"`` divides by p(z)
+    instead, and ``"corollary"`` is (1/4)(1 - z)^2 (1 + z) q(z).  ``start``
+    is the constant p of ``"bp_const"``, or else the constant term of the
+    atom sum, and ``atoms`` the (a_j, b_j) pairs of its terms:
+    b (a + z)/(a - z) for a Herglotz sum, b/(1 + a z) for q.
+    """
+
+    kind: str
+    tau: complex
+    start: complex
+    atoms: tuple[tuple[complex, complex], ...]
+
+    def kernel(self) -> Callable:
+        """G as a callable of z, a Python complex or a numpy array."""
+        if self.kind == "corollary":
+            q = _atom_sum(_q_term, self.start, self.atoms)
+            return lambda z: 0.25 * (1.0 - z) ** 2 * (1.0 + z) * q(z)
+        tau, taub = self.tau, self.tau.conjugate()
+        if self.kind == "bp_const":
+            p = _constant(self.start)
+        else:
+            p = _atom_sum(_herglotz_term, self.start, self.atoms)
+        if self.kind == "reciprocal":
+            return lambda z: (tau - z) * (1.0 - taub * z) / p(z)
+        return lambda z: (tau - z) * (1.0 - taub * z) * p(z)
+
+
+def _frozen_at(spec, t: float) -> Callable:
+    """G at time t, within one schedule segment constant in time, as a
+    callable of z: ``kernel_data(t).kernel()``."""
+    return spec.kernel_data(t).kernel()
 
 
 def _require_tau(tau: complex) -> complex:
@@ -107,6 +159,20 @@ def _require_tau(tau: complex) -> complex:
     if abs(tau) > 1.0 + 1e-12:
         raise ValidationError(f"tau must lie in the closed disk, got |tau| = {abs(tau)}")
     return tau
+
+
+def _require_p_const(p: complex) -> complex:
+    p = complex(p)
+    if not p.real > 0.0:
+        raise ValidationError("constant p needs Re p > 0")
+    return p
+
+
+def _require_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not alpha > 0.0:
+        raise ValidationError("alpha coefficients must be positive")
+    return alpha
 
 
 def _tau_clear_of_atoms(tau: complex, positions) -> None:
@@ -161,9 +227,7 @@ class BerksonPortaField:
         if sum(given) != 1:
             raise ValidationError("give exactly one of p_const, p_measure, p_schedule")
         if self.p_const is not None:
-            object.__setattr__(self, "p_const", complex(self.p_const))
-            if not self.p_const.real > 0.0:
-                raise ValidationError("constant p needs Re p > 0")
+            object.__setattr__(self, "p_const", _require_p_const(self.p_const))
         if self.p_measure is not None:
             _tau_clear_of_atoms(self.tau, (a.position for a in self.p_measure.atoms))
         if self.p_schedule is not None:
@@ -174,27 +238,26 @@ class BerksonPortaField:
     null_points = ()
     expected_dilation = _integrated_null_quotient
 
-    @property
-    def is_autonomous(self) -> bool:
-        if self.p_schedule is None:
-            return True
-        return len(self.p_schedule.segments) == 1 and self.p_schedule.hold_last
-
     def breakpoints(self, s: float, t: float) -> list[float]:
         return [] if self.p_schedule is None else self.p_schedule.breakpoints(s, t)
+
+    def _atoms_at(self, t: float):
+        mu = self.p_measure if self.p_measure is not None else self.p_schedule.measure_at(t)
+        return tuple((a.position.value, a.weight) for a in mu.atoms)
 
     def p_at(self, t: float):
         """The Herglotz factor as a callable of z for the segment holding t."""
         if self.p_const is not None:
-            c = self.p_const
-            return lambda z: c if not isinstance(z, np.ndarray) else np.full_like(z, c)
-        mu = self.p_measure if self.p_measure is not None else self.p_schedule.measure_at(t)
-        return _herglotz_sum(((a.position.value, a.weight) for a in mu.atoms), self.imag_const)
+            return _constant(self.p_const)
+        return _herglotz_sum(self._atoms_at(t), self.imag_const)
 
-    def frozen_at(self, t: float) -> Callable:
-        tau, taub = self.tau, self.tau.conjugate()
-        p = self.p_at(t)
-        return lambda z: (tau - z) * (1.0 - taub * z) * p(z)
+    def kernel_data(self, t: float) -> KernelData:
+        if self.p_const is not None:
+            return KernelData("bp_const", self.tau, self.p_const, ())
+        return KernelData("bp_herglotz", self.tau, _herglotz_start(self.imag_const),
+                          self._atoms_at(t))
+
+    frozen_at = _frozen_at
 
     def to_dict(self) -> dict:
         if self.p_const is not None:
@@ -221,13 +284,10 @@ class ReciprocalField:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", _require_tau(self.tau))
-        data = tuple((p, float(a)) for p, a in self.data)
+        data = tuple((p, _require_alpha(a)) for p, a in self.data)
         object.__setattr__(self, "data", data)
         if not data:
             raise ValidationError("need at least one (sigma, alpha) pair")
-        for _, alpha in data:
-            if not alpha > 0.0:
-                raise ValidationError("alpha coefficients must be positive")
         pts = [p for p, _ in data]
         for i, p in enumerate(pts):
             for q in pts[i + 1:]:
@@ -235,7 +295,6 @@ class ReciprocalField:
                     raise ValidationError("prescribed sigma points must be distinct")
         _tau_clear_of_atoms(self.tau, pts)
 
-    is_autonomous = True
     expected_dilation = _integrated_null_quotient
 
     @property
@@ -245,18 +304,18 @@ class ReciprocalField:
     def breakpoints(self, s: float, t: float) -> list[float]:
         return []
 
-    def _herglotz(self) -> Callable:
-        return _herglotz_sum((p.value, a) for p, a in self.data)
+    def _atoms(self):
+        return tuple((p.value, a) for p, a in self.data)
+
+    def kernel_data(self, t: float) -> KernelData:
+        return KernelData("reciprocal", self.tau, _herglotz_start(0.0), self._atoms())
 
     def p_at(self, t: float) -> Callable:
         """The Herglotz factor 1/h as a callable of z."""
-        h = self._herglotz()
+        h = _herglotz_sum(self._atoms())
         return lambda z: 1.0 / h(z)
 
-    def frozen_at(self, t: float) -> Callable:
-        tau, taub = self.tau, self.tau.conjugate()
-        h = self._herglotz()
-        return lambda z: (tau - z) * (1.0 - taub * z) / h(z)
+    frozen_at = _frozen_at
 
     def to_dict(self) -> dict:
         return {
@@ -283,25 +342,22 @@ class CorollaryField:
         if fault is not None:
             raise ValidationError(f"corollary schedule segment {fault[0]}: {fault[1]}")
 
-    @property
-    def is_autonomous(self) -> bool:
-        return len(self.schedule.segments) == 1 and self.schedule.hold_last
-
     def breakpoints(self, s: float, t: float) -> list[float]:
         return self.schedule.breakpoints(s, t)
 
-    def _q_at(self, t: float) -> Callable:
+    def _q_atoms_at(self, t: float):
         atoms = [(a.position.value, a.weight) for a in self.schedule.measure_at(t).atoms]
-        return _atom_sum(_q_term, 0j, ((k, w * (1.0 - k)) for k, w in atoms))
+        return tuple((k, w * (1.0 - k)) for k, w in atoms)
+
+    def kernel_data(self, t: float) -> KernelData:
+        return KernelData("corollary", self.tau, 0j, self._q_atoms_at(t))
 
     def p_at(self, t: float) -> Callable:
         """The Herglotz factor (1 + z) q / 4 as a callable of z."""
-        q = self._q_at(t)
+        q = _atom_sum(_q_term, 0j, self._q_atoms_at(t))
         return lambda z: 0.25 * (1.0 + z) * q(z)
 
-    def frozen_at(self, t: float) -> Callable:
-        q = self._q_at(t)
-        return lambda z: 0.25 * (1.0 - z) ** 2 * (1.0 + z) * q(z)
+    frozen_at = _frozen_at
 
     def expected_dilation(self, point: BoundaryPoint, s: float, t: float):
         """e^(t-s) at angle pi and exp(-integral of the scheduled mass at
@@ -320,6 +376,21 @@ class CorollaryField:
 
 
 FieldSpec = Union[BerksonPortaField, ReciprocalField, CorollaryField]
+
+
+def kernel_probe_fields() -> tuple:
+    """One field of each ``KernelData`` kind, with atoms off any grid, for
+    checking a compiled kernel against ``frozen_at`` on [0, 1)."""
+    pairs = ((0.7, 0.5), (2.4, 1.5), (4.4, 0.25))
+    probability = ((a, w / 2.25) for a, w in pairs)
+    return (
+        BerksonPortaField(0.3 - 0.4j, p_const=0.8 + 0.3j),
+        BerksonPortaField(BoundaryPoint(5.5).value, p_measure=circle_measure(pairs),
+                          imag_const=-0.7),
+        ReciprocalField(0.2j, tuple((BoundaryPoint(a), w) for a, w in pairs)),
+        CorollaryField(MeasureSchedule((ScheduleSegment(
+            0.0, 1.0, circle_measure(probability, excluded_angle=0.0)),))),
+    )
 
 
 @dataclass(frozen=True)
@@ -359,26 +430,27 @@ def _tau_to_dict(tau: complex) -> dict:
 def _tau_from_dict(d: dict, ptr: str) -> complex:
     if "angle" in d:
         return BoundaryPoint(json_number(d["angle"], f"{ptr}/angle")).value
-    return complex(json_number(json_member(d, "re", ptr), f"{ptr}/re"),
-                   json_number(json_member(d, "im", ptr), f"{ptr}/im"))
+    return at_pointer(ptr, _require_tau, complex(
+        json_number(json_member(d, "re", ptr), f"{ptr}/re"),
+        json_number(json_member(d, "im", ptr), f"{ptr}/im")))
 
 
 def field_from_dict(d: dict, validate: bool = True, ptr: str = "") -> FieldSpec:
     """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``, so a
-    member that is missing or not a finite number, a malformed schedule and
-    a corollary segment that breaks the corollary rule raise ConfigError
-    where they sit.  ``validate=False`` skips the corollary rule."""
+    member that is missing, not a finite number or out of range, a
+    malformed schedule and a corollary segment that breaks the corollary
+    rule raise ConfigError where they sit.  ``validate=False`` skips the
+    corollary rule."""
     kind = json_member(d, "kind", ptr)
     if kind == "berkson_porta":
         _forbid(d, ("data", "schedule"))
         p, pp = json_member(d, "p", ptr), f"{ptr}/p"
         tau = _tau_from_dict(json_member(d, "tau", ptr), f"{ptr}/tau")
         if "const_re" in p:
+            const = complex(json_number(json_member(p, "const_re", pp), f"{pp}/const_re"),
+                            json_number(p.get("const_im", 0.0), f"{pp}/const_im"))
             return BerksonPortaField(
-                tau,
-                p_const=complex(json_number(json_member(p, "const_re", pp), f"{pp}/const_re"),
-                                json_number(p.get("const_im", 0.0), f"{pp}/const_im")),
-            )
+                tau, p_const=at_pointer(f"{pp}/const_re", _require_p_const, const))
         if "measure" in p:
             return BerksonPortaField(
                 tau,
@@ -397,8 +469,9 @@ def field_from_dict(d: dict, validate: bool = True, ptr: str = "") -> FieldSpec:
         data = []
         for i, e in enumerate(json_member(d, "data", ptr)):
             ep = f"{ptr}/data/{i}"
+            alpha = json_number(json_member(e, "alpha", ep), f"{ep}/alpha")
             data.append((BoundaryPoint(json_number(json_member(e, "angle", ep), f"{ep}/angle")),
-                         json_number(json_member(e, "alpha", ep), f"{ep}/alpha")))
+                         at_pointer(f"{ep}/alpha", _require_alpha, alpha)))
         return ReciprocalField(_tau_from_dict(json_member(d, "tau", ptr), f"{ptr}/tau"), data)
     if kind == "corollary":
         _forbid(d, ("p", "data", "tau"))

@@ -24,10 +24,6 @@ def disk_grid_100() -> np.ndarray:
     return polar_grid([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.88, 0.95], 10)
 
 
-def disk_grid_256() -> np.ndarray:
-    return polar_grid(np.linspace(0.06, 0.96, 16), 16)
-
-
 def upper_half_plane_grid(n_x: int = 8, y_values=(0.25, 0.5, 1.0, 2.0)) -> np.ndarray:
     """n_x * len(y_values) points with positive imaginary part."""
     xs = np.linspace(-3.0, 3.0, n_x)

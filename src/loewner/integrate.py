@@ -7,7 +7,12 @@ discontinuous in t there, and crossing would wreck the order), and any
 step landing within ``boundary_guard`` of the unit circle is rejected
 and halved rather than projected back, so disk invariance failures are
 loud instead of silent.  A classical fixed-step RK4 provides the
-independent cross-validation oracle.
+independent cross-validation oracle.  Its numpy loop costs about 60
+numpy calls per step, so each of its windows runs in one call of a
+compiled C loop (``_rk4.c``, loaded by ``_rk4``) that evaluates the
+same expressions in numpy's operation order and gives the same bits; a
+field without ``kernel_data``, or a machine where the library cannot be
+built or fails its load-time probe, keeps the numpy loop.
 
 State may be a single complex number or a numpy array of them; an array
 is advanced as one system with a shared step sequence.  ``evolve_at``
@@ -16,10 +21,20 @@ windows at those times; ``evolve`` is its one-time case.
 ``evolution_map`` is the one evaluator of phi_{s,t}: interior points,
 circle points where the field is tangent, and the exact identity at
 s = t.
+
+Inside ``with collect_stats() as sink``, every integration window adds
+its ``SolverStats`` to ``sink.stats``: windows, accepted steps, steps
+rejected on error and by the boundary guard, field evaluations (counted
+in the compiled RK4 window too), the smallest and largest accepted step,
+and which RK4 backend ran and why numpy did.  Outside such a block no
+window records anything.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +82,63 @@ class ToleranceSettings:
 DEFAULT_TOL = ToleranceSettings()
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """Work done by the integration windows run inside ``collect_stats``.
+
+    ``fevals`` counts field evaluations of completed steps, in the
+    compiled RK4 window too, which never calls ``frozen_at``'s callable.
+    ``h_min`` and ``h_max`` range over accepted steps.  ``rk4_backend`` is
+    ``"c"`` or ``"numpy"`` for the latest RK4 window (empty before one
+    ran) and ``rk4_fallback`` says why that window ran on numpy.
+    """
+
+    windows: int = 0
+    accepted: int = 0
+    rejected_error: int = 0
+    rejected_guard: int = 0
+    fevals: int = 0
+    h_min: float = math.inf
+    h_max: float = 0.0
+    rk4_backend: str = ""
+    rk4_fallback: str = ""
+
+    def merge(self, other: "SolverStats") -> "SolverStats":
+        latest = other if other.rk4_backend else self
+        return SolverStats(
+            self.windows + other.windows, self.accepted + other.accepted,
+            self.rejected_error + other.rejected_error,
+            self.rejected_guard + other.rejected_guard, self.fevals + other.fevals,
+            min(self.h_min, other.h_min), max(self.h_max, other.h_max),
+            latest.rk4_backend, latest.rk4_fallback)
+
+
+class StatsSink:
+    """Accumulates the SolverStats of each window while it is active."""
+
+    def __init__(self) -> None:
+        self.stats = SolverStats()
+
+    def add(self, window: SolverStats) -> None:
+        self.stats = self.stats.merge(window)
+
+
+_SINK: ContextVar[StatsSink | None] = ContextVar("loewner_stats_sink", default=None)
+
+
+@contextmanager
+def collect_stats():
+    """Yield a StatsSink that the integration windows run in this block,
+    in this context, add their SolverStats to.  An inner block's windows
+    go to the inner sink only."""
+    sink = StatsSink()
+    token = _SINK.set(sink)
+    try:
+        yield sink
+    finally:
+        _SINK.reset(token)
+
+
 def _step_once(fun, t, y, h, k1):
     """One Dormand-Prince step; returns (y5, err_vector, k7)."""
     ks = [k1]
@@ -98,40 +170,53 @@ def _integrate_window(fun, t0, t1, y, tol, guard, record):
     k1 = fun(y)
     err_prev = 1.0
     guard_h = None  # the step the boundary guard rejected last, if it did
-    while t < t1:
-        h = min(h, t1 - t)
-        # underflow only counts when the controller forced it, not when the
-        # window remainder itself is tiny
-        if h < tol.min_step and t1 - t > tol.min_step:
-            if guard_h is not None:
+    accepted = rejected_error = rejected_guard = 0
+    h_min, h_max = math.inf, 0.0
+    try:
+        while t < t1:
+            h = min(h, t1 - t)
+            # underflow only counts when the controller forced it, not when
+            # the window remainder itself is tiny
+            if h < tol.min_step and t1 - t > tol.min_step:
+                if guard_h is not None:
+                    raise IntegrationError(
+                        f"boundary guard rejected every step from t = {t} in window "
+                        f"[{t0}, {t1}] (last h = {guard_h:.3g})", t=t, w=_unwrap(y)
+                    )
                 raise IntegrationError(
-                    f"boundary guard rejected every step from t = {t} in window "
-                    f"[{t0}, {t1}] (last h = {guard_h:.3g})", t=t, w=_unwrap(y)
+                    f"step size underflow at t = {t}", t=t, w=_unwrap(y)
                 )
-            raise IntegrationError(
-                f"step size underflow at t = {t}", t=t, w=_unwrap(y)
-            )
-        y5, err_vec, k7 = _step_once(fun, t, y, h, k1)
-        if guard and float(np.max(np.abs(y5))) >= 1.0 - tol.boundary_guard:
-            guard_h = h
-            h *= 0.5
-            continue
-        guard_h = None
-        scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(err_vec) / scale))
-        if err <= 1.0:
-            t_new = t + h
-            if t1 - t_new <= 1e-14 * max(1.0, abs(t1)):
-                t_new = t1
-            t, y, k1 = t_new, y5, k7
-            if record is not None:
-                record.append((t, _unwrap(y)))
-            e = max(err, 1e-10)
-            fac = _SAFETY * e ** (-_PI_ALPHA) * err_prev ** (_PI_BETA)
-            h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), tol.max_step)
-            err_prev = e
-        else:
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+            y5, err_vec, k7 = _step_once(fun, t, y, h, k1)
+            if guard and float(np.max(np.abs(y5))) >= 1.0 - tol.boundary_guard:
+                rejected_guard += 1
+                guard_h = h
+                h *= 0.5
+                continue
+            guard_h = None
+            scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.max(np.abs(err_vec) / scale))
+            if err <= 1.0:
+                accepted += 1
+                h_min, h_max = min(h_min, h), max(h_max, h)
+                t_new = t + h
+                if t1 - t_new <= 1e-14 * max(1.0, abs(t1)):
+                    t_new = t1
+                t, y, k1 = t_new, y5, k7
+                if record is not None:
+                    record.append((t, _unwrap(y)))
+                e = max(err, 1e-10)
+                fac = _SAFETY * e ** (-_PI_ALPHA) * err_prev ** (_PI_BETA)
+                h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), tol.max_step)
+                err_prev = e
+            else:
+                rejected_error += 1
+                h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+    finally:
+        sink = _SINK.get()
+        if sink is not None:
+            steps = accepted + rejected_error + rejected_guard
+            sink.add(SolverStats(1, accepted, rejected_error, rejected_guard,
+                                 1 + 6 * steps, h_min, h_max))
     return y
 
 
@@ -211,7 +296,10 @@ def rk4_oracle(spec: FieldSpec, s: float, t: float, z, n_steps: int):
     """Classical fixed-step fourth-order Runge-Kutta cross-check.
 
     Uses a uniform grid of ``n_steps`` intervals with schedule breakpoints
-    inserted; fails hard if any step leaves the closed disk.
+    inserted; fails hard if any step leaves the closed disk.  Each window
+    runs in one compiled call where the field gives ``kernel_data`` and
+    the compiled window loaded (see ``_rk4``), and in numpy otherwise, to
+    the same bits; ``SolverStats`` says which.
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
@@ -225,28 +313,54 @@ def rk4_oracle(spec: FieldSpec, s: float, t: float, z, n_steps: int):
     grid = np.union1d(base, np.asarray(cuts, dtype=float)) if cuts else base
     edges = [s] + cuts + [t]
     for a, b in zip(edges, edges[1:]):
-        g = spec.frozen_at(0.5 * (a + b))
         inside = grid[(grid >= a) & (grid <= b)]
-        for t0, t1 in zip(inside, inside[1:]):
-            h = t1 - t0
-            k1 = g(y)
-            k2 = g(y + 0.5 * h * k1)
-            k3 = g(y + 0.5 * h * k2)
-            k4 = g(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if np.abs(y).max() >= 1.0:
-                raise IntegrationError(
-                    f"oracle state left the disk at t = {t1}", t=t1, w=_unwrap(y)
-                )
+        y, fail = _rk4_window(spec, 0.5 * (a + b), inside, y)
+        if fail >= 0:
+            t1 = inside[fail + 1]
+            raise IntegrationError(
+                f"oracle state left the disk at t = {t1}", t=t1, w=_unwrap(y)
+            )
     return _unwrap(y) if scalar else y
 
 
-def autonomous_semiflow(spec: FieldSpec, t: float, z,
-                        tol: ToleranceSettings | None = None):
-    """phi_t(z) for a time-constant field; phi_{t+s} = phi_t o phi_s."""
-    if not spec.is_autonomous:
-        raise DomainError("field data is not constant in time")
-    return evolve(spec, 0.0, t, z, tol)
+def _rk4_steps(g, grid, y):
+    """RK4 in numpy over the grid of one window: (state, index of the
+    first step after which max|y| >= 1, or -1)."""
+    for i, (t0, t1) in enumerate(zip(grid, grid[1:])):
+        h = t1 - t0
+        k1 = g(y)
+        k2 = g(y + 0.5 * h * k1)
+        k3 = g(y + 0.5 * h * k2)
+        k4 = g(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.abs(y).max() >= 1.0:
+            return y, i
+    return y, -1
+
+
+def _rk4_window(spec, t, grid, y):
+    """``_rk4_steps`` with the field frozen at t, in one compiled call
+    where the field gives ``kernel_data`` and the compiled window loaded."""
+    from . import _rk4
+
+    data = spec.kernel_data(t) if hasattr(spec, "kernel_data") else None
+    run, reason = _rk4.load() if data is not None else (None, "field gives no kernel data")
+    if run is not None and not y.size:
+        run, reason = None, "empty state"
+    if run is not None:
+        fail = run(data, grid, y)
+    else:
+        y, fail = _rk4_steps(spec.frozen_at(t), grid, y)
+    sink = _SINK.get()
+    if sink is not None:
+        steps = len(grid) - 1 if fail < 0 else fail + 1
+        accepted = steps - (fail >= 0)
+        h = np.diff(grid[:accepted + 1])
+        sink.add(SolverStats(1, accepted, 0, steps - accepted, 4 * steps,
+                             float(h.min()) if accepted else math.inf,
+                             float(h.max()) if accepted else 0.0,
+                             "numpy" if run is None else "c", reason))
+    return y, fail
 
 
 _TANGENCY_TOL = 1e-8

@@ -37,6 +37,15 @@ def json_member(d, key: str, ptr: str):
     return d[key]
 
 
+def at_pointer(ptr: str, build, *args):
+    """``build(*args)``; a ValidationError it raises, a value out of range,
+    becomes a ConfigError at the JSON pointer ``ptr``."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ConfigError(str(exc), pointer=ptr) from None
+
+
 @dataclass(frozen=True)
 class CircleAtom:
     position: BoundaryPoint
@@ -100,17 +109,20 @@ class AtomicCircleMeasure:
 
     @classmethod
     def from_dict(cls, d: dict, ptr: str = "") -> "AtomicCircleMeasure":
-        """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``."""
+        """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``.
+        A weight out of range raises ConfigError at its own pointer, and
+        atoms that coincide or charge the excluded point at ``ptr``."""
         atoms = []
         for i, a in enumerate(json_member(d, "atoms", ptr)):
             ap = f"{ptr}/atoms/{i}"
-            atoms.append(CircleAtom(
+            atoms.append(at_pointer(
+                f"{ap}/weight", CircleAtom,
                 BoundaryPoint(json_number(json_member(a, "angle", ap), f"{ap}/angle")),
                 json_number(json_member(a, "weight", ap), f"{ap}/weight")))
         exc = d.get("excluded_angle")
-        if exc is None:
-            return cls(atoms, None)
-        return cls(atoms, BoundaryPoint(json_number(exc, f"{ptr}/excluded_angle")))
+        excluded = None if exc is None else BoundaryPoint(
+            json_number(exc, f"{ptr}/excluded_angle"))
+        return at_pointer(ptr, cls, atoms, excluded)
 
 
 def circle_measure(pairs, excluded_angle: float | None = None) -> AtomicCircleMeasure:

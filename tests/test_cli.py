@@ -124,10 +124,31 @@ class TestVerifyCommand:
                          {"t0": 2, "t1": 3, "measure": {"atoms": []}}]}}},
           "fixed_points": []}, "/field/p/schedule"),
         ({"integration": {"t0": 0, "t1": 2}}, "/integration/t1"),
+        # values out of range name the member, not the field
+        ({"field": {"kind": "reciprocal", "tau": {"angle": 0.0},
+                    "data": [{"angle": 2.0, "alpha": 1.0}, {"angle": 4.0, "alpha": -1}]},
+          "fixed_points": []}, "/field/data/1/alpha"),
+        ({"field": {"kind": "berkson_porta", "tau": {"angle": 0.0}, "p": {"measure": {
+            "atoms": [{"angle": 2.0, "weight": 1.0}, {"angle": 4.0, "weight": 0}]}}},
+          "fixed_points": []}, "/field/p/measure/atoms/1/weight"),
+        ({"field": {"kind": "corollary", "schedule": {"segments": [
+            {"t0": 0, "t1": 1, "measure": {"atoms": [{"angle": PI, "weight": -0.5}],
+                                           "excluded_angle": 0.0}}]}}},
+         "/field/schedule/segments/0/measure/atoms/0/weight"),
+        ({"field": {"kind": "berkson_porta", "tau": {"angle": 0.0}, "p": {"const_re": 0.0}},
+          "fixed_points": []}, "/field/p/const_re"),
+        ({"field": {"kind": "reciprocal", "tau": {"re": 1.5, "im": 0.0},
+                    "data": [{"angle": 2.0, "alpha": 1.0}]}, "fixed_points": []}, "/field/tau"),
+        # atoms that coincide: the measure holding them
+        ({"field": {"kind": "berkson_porta", "tau": {"angle": 0.0}, "p": {"measure": {
+            "atoms": [{"angle": 2.0, "weight": 1.0}, {"angle": 2.0, "weight": 1.0}]}}},
+          "fixed_points": []}, "/field/p/measure"),
     ], ids=["tolerances-list", "string-angle", "list-check-name", "bool-angles", "nan-angle",
             "missing-alpha", "non-object-data-entry", "missing-tau", "missing-p", "missing-segments",
             "missing-segment-t1", "missing-atom-weight", "corollary-schedule-gap",
-            "berkson-porta-schedule-gap", "t1-past-schedule"])
+            "berkson-porta-schedule-gap", "t1-past-schedule", "negative-alpha",
+            "zero-atom-weight", "negative-segment-atom-weight", "nonpositive-const-p",
+            "tau-outside-disk", "coincident-atoms"])
     def test_malformed_members_name_their_pointer(self, tmp_path, capsys, overrides, pointer):
         cfg = write_config(tmp_path, **overrides)
         assert main(["verify", "--config", str(cfg)]) == 2

@@ -30,7 +30,7 @@ from loewner import (
     null_quotient,
     pseudo_hyperbolic_distance,
 )
-from loewner.grids import disk_grid_256
+from loewner.grids import polar_grid
 from conftest import (
     corollary_delta,
     example_three_atoms,
@@ -165,7 +165,7 @@ class TestGeneratorAdmissibility:
         ids=["radial", "parabolic", "three-atoms", "cor-pi", "cor-i", "two-seg"],
     )
     def test_herglotz_factor_has_nonnegative_real_part(self, fld):
-        p = fld.p_at(0.0)(disk_grid_256())
+        p = fld.p_at(0.0)(polar_grid(np.linspace(0.06, 0.96, 16), 16))
         assert float(np.min(np.asarray(p).real)) >= 0.0
 
 
@@ -320,7 +320,7 @@ class TestThreeBrfpEval:
 
     def test_maps_into_disk(self):
         m = atom_map(1.0)
-        zs = disk_grid_256()
+        zs = polar_grid(np.linspace(0.06, 0.96, 16), 16)
         ws = m(zs)
         assert float(np.max(np.abs(ws))) < 1.0
 
@@ -385,10 +385,14 @@ class TestFieldJson:
 class TestFieldValidation:
     def test_reciprocal_needs_positive_alpha(self):
         with pytest.raises(ValidationError):
+            ReciprocalField(0j, ((BoundaryPoint(0.0), -1.0),))
+        # read from JSON, the error names the member
+        with pytest.raises(ConfigError) as info:
             field_from_dict(
                 {"kind": "reciprocal", "tau": {"re": 0.0, "im": 0.0},
                  "data": [{"angle": 0.0, "alpha": -1.0}]}
             )
+        assert info.value.pointer == "/data/0/alpha"
 
     def test_tau_must_avoid_prescribed_points(self):
         with pytest.raises(ValidationError):

@@ -10,7 +10,6 @@ from loewner import (
     NotTangentError,
     ToleranceSettings,
     ValidationError,
-    autonomous_semiflow,
     evolution_map,
     evolve,
     evolve_at,
@@ -35,8 +34,6 @@ PI = math.pi
 class OutwardField:
     """Test double: constant field G = 1, which pushes trajectories out of
     the disk so failure paths can be exercised. Not a generator."""
-
-    is_autonomous = True
 
     def breakpoints(self, s, t):
         return []
@@ -257,27 +254,25 @@ class TestRk4Oracle:
 
 
 class TestAutonomousSemiflow:
+    """A time-constant field generates a semiflow phi_t = phi_{0,t}."""
+
     def test_radial_value(self):
-        w = autonomous_semiflow(radial_field(), math.log(2.0), 0.8 + 0j)
+        w = evolve(radial_field(), 0.0, math.log(2.0), 0.8 + 0j)
         assert w == pytest.approx(0.4, abs=1e-10)
 
     def test_semigroup_law(self):
         fld = corollary_delta(PI, t_end=1.0, hold_last=True)
         z = 0.1j
-        one_step = autonomous_semiflow(fld, 1.0, z)
-        two_step = autonomous_semiflow(fld, 0.3, autonomous_semiflow(fld, 0.7, z))
+        one_step = evolve(fld, 0.0, 1.0, z)
+        two_step = evolve(fld, 0.0, 0.3, evolve(fld, 0.0, 0.7, z))
         assert abs(one_step - two_step) < 1e-9
 
     def test_denjoy_wolff_iteration(self):
         fld = example_three_atoms()
         z = 0.5 + 0j
         for _ in range(20):
-            z = autonomous_semiflow(fld, 1.0, z)
+            z = evolve(fld, 0.0, 1.0, z)
         assert abs(z) < 1e-3
-
-    def test_rejects_time_dependent_field(self):
-        with pytest.raises(DomainError):
-            autonomous_semiflow(two_segment_field(), 1.0, 0j)
 
 
 class TestFailureHandling:
