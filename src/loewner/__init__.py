@@ -7,14 +7,12 @@ __version__ = "0.1.0"
 from .boundary import (
     AngularDerivativeEstimate,
     ArcLengthResult,
-    DWEstimate,
     JuliaCheckResult,
     angular_derivative,
     check_arc_length,
     check_half_plane_julia,
     check_julia,
     dilation_curve,
-    estimate_dw,
     normalize_fix_origin,
 )
 from .disk import (

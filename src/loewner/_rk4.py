@@ -6,6 +6,8 @@ The source is compiled on first use, never at import, with
 the source and the compile command; the library is written under a
 temporary name and moved into place, so concurrent builds are safe.  A
 later process loads the cached library without running the compiler.
+A new build removes the libraries of other sources or commands from the
+cache, but never a concurrent build's temporary file.
 
 After loading, a probe runs a few dozen RK4 steps of each kernel kind
 through the compiled window and through the numpy loop and compares
@@ -16,6 +18,7 @@ numpy and reports the reason in its ``SolverStats``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import shutil
@@ -93,6 +96,10 @@ def _library():
     path = cache / f"rk4-{key}.so"
     if not path.exists():
         _compile(command, source, path)
+        for stale in cache.glob("rk4-*.so"):  # temporaries are named .rk4-*
+            if stale != path:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     return ctypes.CDLL(str(path))
 
 

@@ -1,6 +1,6 @@
 """Boundary behavior of computed self-maps: angular derivatives, Julia
-quotients, Denjoy-Wolff location, arc-length comparison, and the
-half-plane derivative inequality.
+quotients, arc-length comparison, and the half-plane derivative
+inequality.
 
 Angular limits are taken along the radius only.  At the regular points
 this artifact produces, the radial limit equals the angular limit, and
@@ -9,7 +9,6 @@ oblique approach paths add cost without discriminating power.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .disk import BoundaryPoint, MobiusTransform
 from .errors import DomainError, LoewnerError
 from .extrapolate import default_radii, richardson
 from .generators import FieldSpec
-from .integrate import ToleranceSettings, evolve_at, iter_evolve_at
+from .integrate import ToleranceSettings, iter_evolve_at
 from .measures import NevanlinnaRep, nevanlinna_eval
 
 
@@ -34,25 +33,37 @@ def _check_radii(radii) -> list[float]:
     return radii
 
 
-def _eval_along_radius(map_fn, sigma: BoundaryPoint, radii: list[float]):
-    """Evaluate the map at r*sigma, falling back to pointwise calls and a
-    truncated radius list when extreme radii raise a LoewnerError.  Any
-    other exception is a bug in the map and propagates."""
-    s = sigma.value
-    zs = np.asarray([r * s for r in radii])
+def _radial_values(evaluate, sigma: BoundaryPoint, radii: list[float], n_times: int):
+    """For each of n_times times, (kept radii, values at r*sigma), where
+    ``evaluate(z)`` yields the value of z at each time in turn.
+
+    All radii go in one batch.  If that raises a LoewnerError, each radius
+    is evaluated as a scalar: a radius that fails at time u still serves
+    the times before u, and at each time the radius list is cut at the
+    first radius that did not reach it, so evaluation stops at a radius
+    that reached no time.  Any other exception is a bug and propagates.
+    """
+    zs = np.asarray([r * sigma.value for r in radii])
     try:
-        ws = np.asarray(map_fn(zs))
-        return radii, list(ws)
+        return [(radii, list(np.asarray(ws))) for ws in evaluate(zs)]
     except LoewnerError:
         pass
-    kept_r, kept_w = [], []
+    reached = []
     for r in radii:
+        values = []
         try:
-            kept_w.append(complex(map_fn(complex(r * s))))
-            kept_r.append(r)
+            for w in evaluate(complex(r * sigma.value)):
+                values.append(complex(w))
         except LoewnerError:
+            pass
+        if not values:
             break
-    return kept_r, kept_w
+        reached.append(values)
+    out = []
+    for k in range(n_times):
+        n = next((j for j, values in enumerate(reached) if len(values) <= k), len(reached))
+        out.append((radii[:n], [values[k] for values in reached[:n]]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ def angular_derivative(
     map_fn, sigma: BoundaryPoint, omega: BoundaryPoint, radii=None
 ) -> AngularDerivativeEstimate:
     radii = _check_radii(default_radii() if radii is None else radii)
-    kept_r, ws = _eval_along_radius(map_fn, sigma, radii)
+    ((kept_r, ws),) = _radial_values(lambda z: (map_fn(z),), sigma, radii, 1)
     return _estimate(sigma, omega, kept_r, ws)
 
 
@@ -129,81 +140,6 @@ def check_julia(map_fn, sigma: BoundaryPoint, omega: BoundaryPoint,
     return JuliaCheckResult(sigma, omega, bound, float(viol[i]), complex(zs[i]))
 
 
-@dataclass(frozen=True)
-class DWEstimate:
-    location: complex
-    interior: bool
-    iterations_used: int
-    converged: bool
-
-
-def estimate_dw(map_fn, z0: complex, max_iter: int = 200,
-                tol: float = 1e-12) -> DWEstimate:
-    """Locate the Denjoy-Wolff point by forward iteration.
-
-    Interior convergence: Cauchy increments below tol with the iterate
-    staying off the boundary.  Boundary convergence: modulus above
-    1 - 1e-6 with the argument drifting less than 1e-8 over the last 10
-    iterates (the two regimes converge at different speeds).
-    """
-    z = complex(z0)
-    if abs(z) >= 1.0:
-        raise DomainError("start point must be interior")
-    args: list[float] = []
-    for n in range(1, max_iter + 1):
-        z_next = complex(map_fn(z))
-        if abs(z_next - z) < tol and abs(z_next) < 1.0 - 1e-9:
-            return DWEstimate(z_next, True, n, True)
-        if abs(z_next) > 1.0 - 1e-6:
-            args.append(cmath.phase(z_next))
-            if len(args) >= 10:
-                recent = args[-10:]
-                drift = max(recent) - min(recent)
-                if drift < 1e-8:
-                    loc = cmath.exp(1j * recent[-1])
-                    return DWEstimate(loc, False, n, True)
-        else:
-            args.clear()
-        z = z_next
-    return DWEstimate(z, abs(z) < 1.0 - 1e-9, max_iter, False)
-
-
-def _radial_sweep(spec: FieldSpec, s: float, times: list[float],
-                  sigma: BoundaryPoint, radii: list[float], tol):
-    """For each time u, (kept radii, phi_{s,u}(r sigma)) from one sweep.
-
-    The rule of ``_eval_along_radius``, applied per time: if the batched
-    sweep raises a LoewnerError, each radius gets its own scalar sweep, a
-    radius that fails at time u stays usable before u, and the radius
-    list is cut at the first radius that did not reach u.
-    """
-    sv = sigma.value
-    zs = np.asarray([r * sv for r in radii])
-    try:
-        return [(radii, list(ws)) for ws in evolve_at(spec, s, times, zs, tol)]
-    except LoewnerError:
-        pass
-    reached = []
-    for r in radii:
-        values = []
-        try:
-            for w in iter_evolve_at(spec, s, times, complex(r * sv), tol):
-                values.append(w)
-        except LoewnerError:
-            pass
-        reached.append(values)
-    out = []
-    for k in range(len(times)):
-        kept_r, kept_w = [], []
-        for r, values in zip(radii, reached):
-            if len(values) <= k:
-                break
-            kept_r.append(r)
-            kept_w.append(values[k])
-        out.append((kept_r, kept_w))
-    return out
-
-
 def dilation_curve(spec: FieldSpec, sigma: BoundaryPoint, t_grid,
                    tol: ToleranceSettings | None = None, radii=None, s: float = 0.0):
     """Measured angular derivative of phi_{s,t} at sigma for each t, from
@@ -218,7 +154,8 @@ def dilation_curve(spec: FieldSpec, sigma: BoundaryPoint, t_grid,
         return []
     radii = _check_radii(default_radii() if radii is None else radii)
     out = []
-    for t, (kept_r, ws) in zip(ts, _radial_sweep(spec, s, ts, sigma, radii, tol)):
+    sweep = _radial_values(lambda z: iter_evolve_at(spec, s, ts, z, tol), sigma, radii, len(ts))
+    for t, (kept_r, ws) in zip(ts, sweep):
         est = _estimate(sigma, sigma, kept_r, ws)
         out.append((t, math.nan if est.diverged else est.value))
     return out

@@ -1,15 +1,20 @@
 """The verification suite: one registered check per desk-checkable
 property of the computed evolution families.
 
-Registered names: semigroup, disk_invariance, schwarz_pick, julia,
-cowen_pommerenke, dilation_tracking, dilation_monotone, chain_rule,
-arc_lemma, oracle_agreement, half_plane_julia, nevanlinna_beta.
+Each check is declared once, by ``@check(tolerance=...)`` on a function
+whose name is the check's name.  The tolerance is its default, a config
+can override it, and reports record the tolerance used.  The body
+returns ``(max_residual, worst_input, notes)``, and the registration
+alone builds the outcome: it passes iff the residual is <= the
+tolerance, and it fails on a None residual (the notes say why) or on a
+``LoewnerError`` ("failed to evaluate: ...").  A body whose premise does
+not hold raises ``NotApplicable``; the check then reads pass with
+residual 0.0 and notes "not applicable: ...".
 
-Default tolerances ship here and can be overridden per config; reports
-always record the tolerance used.  Checks run one after another in name
-order and no check depends on which ran before it; the report is sorted
-by check name.  LOEWNER_THREADS is accepted and ignored: the former check
-thread pool was bound by the interpreter lock and measured slower.
+Checks run one after another in name order and no check depends on which
+ran before it; the report is sorted by check name.  LOEWNER_THREADS is
+accepted and ignored: the former check thread pool was bound by the
+interpreter lock and measured slower.
 """
 
 from __future__ import annotations
@@ -121,9 +126,6 @@ class CheckContext:
     def tolerance(self, name: str) -> float:
         return float(self.config.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
-    def evaluator(self, s: float, t: float):
-        return evolution_map(self.field, s, t, self.tol)
-
     @cached_property
     def _dilation_table(self) -> dict:
         """(s, t, angle) -> measured dilation of phi_{s,t} at each
@@ -145,22 +147,49 @@ class CheckContext:
         return self._dilation_table[(s, t, point.angle)]
 
 
-DEFAULT_TOLERANCES = {
-    "semigroup": 1e-8,
-    "disk_invariance": 0.0,
-    "schwarz_pick": 1e-10,
-    "julia": 1e-8,
-    "cowen_pommerenke": 1e-6,
-    "dilation_tracking": 1e-3,
-    "dilation_monotone": 1e-4,
-    "chain_rule": 1e-3,
-    "arc_lemma": 1e-6,
-    "oracle_agreement": 1e-8,
-    "half_plane_julia": 1e-12,
-    "nevanlinna_beta": 1e-4,
-}
+#: check name -> ctx -> CheckOutcome, filled by ``@check`` below
+CHECKS: dict = {}
+DEFAULT_TOLERANCES: dict[str, float] = {}
 
-CHECK_NAMES = frozenset(DEFAULT_TOLERANCES)
+
+class NotApplicable(Exception):
+    """Raised by a check body whose premise does not hold, saying which."""
+
+
+def check(*, tolerance: float):
+    """Register the body under its name; the module docstring has the rules."""
+
+    def register(body):
+        name = body.__name__
+
+        def run(ctx: CheckContext) -> CheckOutcome:
+            tol = ctx.tolerance(name)
+            try:
+                residual, worst_input, notes = body(ctx)
+            except NotApplicable as why:
+                return CheckOutcome(name, True, 0.0, tol, notes=f"not applicable: {why}")
+            except LoewnerError as exc:
+                return CheckOutcome(name, False, None, tol, notes=f"failed to evaluate: {exc}")
+            passed = residual is not None and residual <= tol
+            return CheckOutcome(name, passed, residual, tol, worst_input, notes)
+
+        CHECKS[name] = run
+        DEFAULT_TOLERANCES[name] = tolerance
+        return run
+
+    return register
+
+
+class _Worst:
+    """The largest residual offered and its input; a tie keeps the first."""
+
+    def __init__(self, residual: float = -math.inf):
+        self.residual, self.where = residual, None
+
+    def offer(self, residual: float, where: dict) -> None:
+        if residual > self.residual:
+            self.residual, self.where = residual, where
+
 
 #: default boundary arc for the arc-length check; the lower semicircle
 #: minus a margin keeps clear of the DW point at angle 0 and of kernel
@@ -168,16 +197,11 @@ CHECK_NAMES = frozenset(DEFAULT_TOLERANCES)
 _DEFAULT_ARC = (_PI + 0.2, 2.0 * _PI - 0.2)
 
 
-def _not_applicable(name: str, tol: float, why: str) -> CheckOutcome:
-    return CheckOutcome(name, True, 0.0, tol, notes=f"not applicable: {why}")
-
-
-def _check_semigroup(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("semigroup")
+@check(tolerance=1e-8)
+def semigroup(ctx: CheckContext):
     s, t, z = ctx.s, ctx.t, ctx.grid
-    ident = ctx.evaluator(s, s)(z)
-    worst = float(np.max(np.abs(ident - z)))  # EF1 must hold exactly
-    worst_z = None
+    ident = evolution_map(ctx.field, s, s, ctx.tol)(z)
+    worst = _Worst(float(np.max(np.abs(ident - z))))  # EF1 must hold exactly
     direct = evolve(ctx.field, s, t, z, ctx.tol) if t > s else z
     for frac in (0.25, 0.5, 0.75):
         u = s + frac * (t - s)
@@ -186,152 +210,121 @@ def _check_semigroup(ctx: CheckContext) -> CheckOutcome:
         through = evolve(ctx.field, u, t, evolve(ctx.field, s, u, z, ctx.tol), ctx.tol)
         resid = np.abs(through - direct)
         i = int(np.argmax(resid))
-        if float(resid[i]) > worst:
-            worst, worst_z = float(resid[i]), {"z": _zdict(z[i]), "u": u}
-    return CheckOutcome("semigroup", worst <= tol, worst, tol, worst_z,
-                        "EF1 exact; EF2 residual over u in {1/4,1/2,3/4}")
+        worst.offer(float(resid[i]), {"z": _zdict(z[i]), "u": u})
+    return worst.residual, worst.where, "EF1 exact; EF2 residual over u in {1/4,1/2,3/4}"
 
 
-def _check_disk_invariance(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("disk_invariance")
-    s, t = ctx.s, ctx.t
-    worst = -math.inf
-    worst_in = None
-    times = [float(u) for u in np.linspace(s, t, 9)[1:]]
-    for u, w in zip(times, evolve_at(ctx.field, s, times, ctx.grid, ctx.tol)):
+@check(tolerance=0.0)
+def disk_invariance(ctx: CheckContext):
+    worst = _Worst()
+    times = [float(u) for u in np.linspace(ctx.s, ctx.t, 9)[1:]]
+    for u, w in zip(times, evolve_at(ctx.field, ctx.s, times, ctx.grid, ctx.tol)):
         mods = np.abs(w)
         i = int(np.argmax(mods))
         # strictness margin: |w| must stay below 1 - 1e-14
-        resid = float(mods[i]) - (1.0 - 1e-14)
-        if resid > worst:
-            worst, worst_in = resid, {"z": _zdict(ctx.grid[i]), "t": u}
-    return CheckOutcome("disk_invariance", worst <= tol, worst, tol, worst_in,
-                        "residual = max |w| - (1 - 1e-14); strict disk invariance")
+        worst.offer(float(mods[i]) - (1.0 - 1e-14), {"z": _zdict(ctx.grid[i]), "t": u})
+    return worst.residual, worst.where, "residual = max |w| - (1 - 1e-14); strict disk invariance"
 
 
-def _check_schwarz_pick(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("schwarz_pick")
+@check(tolerance=1e-10)
+def schwarz_pick(ctx: CheckContext):
     pairs = random_interior_pairs(100)
     z1 = np.asarray([p[0] for p in pairs])
     z2 = np.asarray([p[1] for p in pairs])
     w1 = evolve(ctx.field, ctx.s, ctx.t, z1, ctx.tol)
     w2 = evolve(ctx.field, ctx.s, ctx.t, z2, ctx.tol)
-    worst = -math.inf
-    worst_in = None
+    worst = _Worst()
     for a, b, wa, wb in zip(z1, z2, w1, w2):
-        resid = pseudo_hyperbolic_distance(wa, wb) - pseudo_hyperbolic_distance(a, b)
-        if resid > worst:
-            worst, worst_in = resid, {"z1": _zdict(a), "z2": _zdict(b)}
-    return CheckOutcome("schwarz_pick", worst <= tol, worst, tol, worst_in,
-                        "pseudo-hyperbolic contraction on 100 seeded pairs")
+        worst.offer(pseudo_hyperbolic_distance(wa, wb) - pseudo_hyperbolic_distance(a, b),
+                    {"z1": _zdict(a), "z2": _zdict(b)})
+    return worst.residual, worst.where, "pseudo-hyperbolic contraction on 100 seeded pairs"
 
 
-def _check_julia(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("julia")
+@check(tolerance=1e-8)
+def julia(ctx: CheckContext):
     fps = ctx.config.fixed_points
     if not fps:
-        return _not_applicable("julia", tol, "no prescribed fixed points")
-    ev = ctx.evaluator(ctx.s, ctx.t)
+        raise NotApplicable("no prescribed fixed points")
+    ev = evolution_map(ctx.field, ctx.s, ctx.t, ctx.tol)
     grid = disk_grid_100()
-    worst = -math.inf
-    worst_in = None
+    worst = _Worst()
     notes = []
     for fp in fps:
         expected = ctx.field.expected_dilation(fp.point, ctx.s, ctx.t)
         if expected is None:
-            return CheckOutcome("julia", False, None, tol,
-                                notes=f"no finite expected dilation at angle {fp.point.angle}")
+            return None, None, f"no finite expected dilation at angle {fp.point.angle}"
         bound = expected * (1.0 + 1e-6)
         res = check_julia(ev, fp.point, fp.point, bound, grid)
         notes.append(f"angle {fp.point.angle:.6g}: A={bound:.12g}")
-        if res.max_violation > worst:
-            worst = res.max_violation
-            worst_in = {"z": _zdict(res.worst_point), "angle": fp.point.angle}
-    return CheckOutcome("julia", worst <= tol, worst, tol, worst_in, "; ".join(notes))
+        worst.offer(res.max_violation,
+                    {"z": _zdict(res.worst_point), "angle": fp.point.angle})
+    return worst.residual, worst.where, "; ".join(notes)
 
 
-def _check_cowen_pommerenke(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("cowen_pommerenke")
+@check(tolerance=1e-6)
+def cowen_pommerenke(ctx: CheckContext):
     fps = ctx.config.fixed_points
     if len(fps) < 2:
-        return _not_applicable("cowen_pommerenke", tol, "needs two prescribed fixed points")
+        raise NotApplicable("needs two prescribed fixed points")
     dil = {}
     for fp in fps:
         d = ctx.measured_dilation(ctx.s, ctx.t, fp.point)
         if d is None:
-            return CheckOutcome("cowen_pommerenke", False, None, tol,
-                                notes=f"dilation diverged at angle {fp.point.angle}")
+            return None, None, f"dilation diverged at angle {fp.point.angle}"
         dil[fp.point.angle] = d
-    worst = -math.inf
-    worst_in = None
+    worst = _Worst()
     angles = sorted(dil)
     for i, a in enumerate(angles):
         for b in angles[i + 1:]:
-            resid = 1.0 - dil[a] * dil[b]
-            if resid > worst:
-                worst, worst_in = resid, {"angles": [a, b], "product": dil[a] * dil[b]}
-    return CheckOutcome("cowen_pommerenke", worst <= tol, worst, tol, worst_in,
-                        "residual = 1 - product of measured dilations")
+            worst.offer(1.0 - dil[a] * dil[b], {"angles": [a, b], "product": dil[a] * dil[b]})
+    return worst.residual, worst.where, "residual = 1 - product of measured dilations"
 
 
-def _check_dilation_tracking(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("dilation_tracking")
+@check(tolerance=1e-3)
+def dilation_tracking(ctx: CheckContext):
     fps = ctx.config.fixed_points
     if not fps:
-        return _not_applicable("dilation_tracking", tol, "no prescribed fixed points")
-    worst = -math.inf
-    worst_in = None
+        raise NotApplicable("no prescribed fixed points")
+    worst = _Worst()
     for fp in fps:
         for u in ctx.tracking_times:
             expected = ctx.field.expected_dilation(fp.point, ctx.s, u)
             measured = ctx.measured_dilation(ctx.s, u, fp.point)
             if expected is None or measured is None:
-                return CheckOutcome("dilation_tracking", False, None, tol,
-                                    notes=f"divergence at angle {fp.point.angle}, t={u}")
-            resid = abs(measured - expected) / max(abs(expected), 1e-30)
-            if resid > worst:
-                worst = resid
-                worst_in = {"angle": fp.point.angle, "t": u,
-                            "measured": measured, "expected": expected}
-    return CheckOutcome("dilation_tracking", worst <= tol, worst, tol, worst_in,
-                        "relative error of measured vs data-implied dilation")
+                return None, None, f"divergence at angle {fp.point.angle}, t={u}"
+            worst.offer(abs(measured - expected) / max(abs(expected), 1e-30),
+                        {"angle": fp.point.angle, "t": u,
+                         "measured": measured, "expected": expected})
+    return worst.residual, worst.where, "relative error of measured vs data-implied dilation"
 
 
-def _check_dilation_monotone(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("dilation_monotone")
+@check(tolerance=1e-4)
+def dilation_monotone(ctx: CheckContext):
     fps = ctx.config.fixed_points
     tau = ctx.field.tau
     interior_dw = abs(tau) < 1.0 - 1e-9
     if not fps and not interior_dw:
-        return _not_applicable("dilation_monotone", tol, "no prescribed fixed points")
+        raise NotApplicable("no prescribed fixed points")
     ts = ctx.monotone_times
-    worst = -math.inf
-    worst_in = None
-
-    def track(value, where):
-        nonlocal worst, worst_in
-        if value > worst:
-            worst, worst_in = value, where
-
+    worst = _Worst()
     for fp in fps:
         vals = []
         for u in ts:
             d = ctx.measured_dilation(ctx.s, u, fp.point)
             if d is None:
-                return CheckOutcome("dilation_monotone", False, None, tol,
-                                    notes=f"dilation diverged at angle {fp.point.angle}")
+                return None, None, f"dilation diverged at angle {fp.point.angle}"
             vals.append(d)
         if fp.role == ROLE_DW:
             for u, d in zip(ts, vals):
-                track(d - 1.0, {"angle": fp.point.angle, "t": u, "kind": "range"})
-                track(-d, {"angle": fp.point.angle, "t": u, "kind": "positivity"})
-            for (ua, a), (ub, b) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-                track((b - a) / max(a, 1.0),
-                      {"angle": fp.point.angle, "t": ub, "kind": "non-increasing"})
+                worst.offer(d - 1.0, {"angle": fp.point.angle, "t": u, "kind": "range"})
+                worst.offer(-d, {"angle": fp.point.angle, "t": u, "kind": "positivity"})
+            for ub, a, b in zip(ts[1:], vals, vals[1:]):
+                worst.offer((b - a) / max(a, 1.0),
+                            {"angle": fp.point.angle, "t": ub, "kind": "non-increasing"})
         else:
-            for (ua, a), (ub, b) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-                track((a - b) / max(a, 1.0),
-                      {"angle": fp.point.angle, "t": ub, "kind": "non-decreasing"})
+            for ub, a, b in zip(ts[1:], vals, vals[1:]):
+                worst.offer((a - b) / max(a, 1.0),
+                            {"angle": fp.point.angle, "t": ub, "kind": "non-decreasing"})
     if interior_dw:
         # interior DW point: |d/dz phi_{s,t}| at tau via central differences
         h = 1e-5
@@ -340,70 +333,58 @@ def _check_dilation_monotone(ctx: CheckContext) -> CheckOutcome:
         for u, w in zip(ts, evolve_at(ctx.field, ctx.s, ts, probes, ctx.tol)):
             mod = abs((w[0] - w[1]) / (2.0 * h))
             if prev is not None:
-                track(mod - prev - 1e-9, {"t": u, "kind": "interior-derivative"})
+                worst.offer(mod - prev - 1e-9, {"t": u, "kind": "interior-derivative"})
             prev = mod
-    note = ("grid proxy for monotone, locally absolutely continuous dilation curves; "
+    return (worst.residual, worst.where,
+            "grid proxy for monotone, locally absolutely continuous dilation curves; "
             "finite samples cannot certify absolute continuity")
-    return CheckOutcome("dilation_monotone", worst <= tol, worst, tol, worst_in, note)
 
 
-def _check_chain_rule(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("chain_rule")
+@check(tolerance=1e-3)
+def chain_rule(ctx: CheckContext):
     fps = ctx.config.fixed_points
     if not fps or ctx.t <= ctx.s:
-        return _not_applicable("chain_rule", tol, "needs fixed points and t1 > t0")
-    mid = ctx.mid
-    worst = -math.inf
-    worst_in = None
+        raise NotApplicable("needs fixed points and t1 > t0")
+    worst = _Worst()
     for fp in fps:
         full = ctx.measured_dilation(ctx.s, ctx.t, fp.point)
-        left = ctx.measured_dilation(ctx.s, mid, fp.point)
-        right = ctx.measured_dilation(mid, ctx.t, fp.point)
+        left = ctx.measured_dilation(ctx.s, ctx.mid, fp.point)
+        right = ctx.measured_dilation(ctx.mid, ctx.t, fp.point)
         if None in (full, left, right):
-            return CheckOutcome("chain_rule", False, None, tol,
-                                notes=f"dilation diverged at angle {fp.point.angle}")
-        resid = abs(full - left * right) / abs(full)
-        if resid > worst:
-            worst = resid
-            worst_in = {"angle": fp.point.angle, "full": full, "split": left * right}
-    return CheckOutcome("chain_rule", worst <= tol, worst, tol, worst_in,
-                        "|phi'_{s,t} - phi'_{s,u} phi'_{u,t}| / phi'_{s,t} at u = midpoint")
+            return None, None, f"dilation diverged at angle {fp.point.angle}"
+        worst.offer(abs(full - left * right) / abs(full),
+                    {"angle": fp.point.angle, "full": full, "split": left * right})
+    return (worst.residual, worst.where,
+            "|phi'_{s,t} - phi'_{s,u} phi'_{u,t}| / phi'_{s,t} at u = midpoint")
 
 
-def _check_arc_lemma(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("arc_lemma")
+@check(tolerance=1e-6)
+def arc_lemma(ctx: CheckContext):
     if ctx.t <= ctx.s:
-        return _not_applicable("arc_lemma", tol, "empty time window")
-    flow = ctx.evaluator(ctx.s, ctx.t)
+        raise NotApplicable("empty time window")
+    flow = evolution_map(ctx.field, ctx.s, ctx.t, ctx.tol)
     try:
         normalized = normalize_fix_origin(flow)
         result = check_arc_length(normalized, _DEFAULT_ARC, samples=2048)
     except LoewnerError as exc:
-        return _not_applicable("arc_lemma", tol, f"boundary flow unavailable ({exc})")
+        raise NotApplicable(f"boundary flow unavailable ({exc})") from exc
     if not result.applicable:
-        return _not_applicable("arc_lemma", tol, result.note)
-    resid = result.len_arc - result.len_image
-    return CheckOutcome(
-        "arc_lemma", resid <= tol, resid, tol,
-        {"arc": list(_DEFAULT_ARC), "len_arc": result.len_arc,
-         "len_image": result.len_image},
-        "domain arc must not exceed its boundary image in length",
-    )
+        raise NotApplicable(result.note)
+    return (result.len_arc - result.len_image,
+            {"arc": list(_DEFAULT_ARC), "len_arc": result.len_arc,
+             "len_image": result.len_image},
+            "domain arc must not exceed its boundary image in length")
 
 
-def _check_oracle_agreement(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("oracle_agreement")
-    pts = ctx.grid
-    if pts.size > 16:
-        stride = max(1, pts.size // 16)
-        pts = pts[::stride][:16]
+@check(tolerance=1e-8)
+def oracle_agreement(ctx: CheckContext):
+    pts = ctx.grid[::max(1, ctx.grid.size // 16)][:16]  # at most 16 points
     adaptive = evolve(ctx.field, ctx.s, ctx.t, pts, ctx.tol)
     fixed = rk4_oracle(ctx.field, ctx.s, ctx.t, pts, 100000)
     resid = np.abs(adaptive - fixed)
     i = int(np.argmax(resid))
-    return CheckOutcome("oracle_agreement", float(resid[i]) <= tol, float(resid[i]),
-                        tol, {"z": _zdict(pts[i])},
-                        "adaptive solver vs fixed-step RK4 with 1e5 steps")
+    return (float(resid[i]), {"z": _zdict(pts[i])},
+            "adaptive solver vs fixed-step RK4 with 1e5 steps")
 
 
 def _beta_instances():
@@ -413,68 +394,36 @@ def _beta_instances():
         yield mass, build_three_brfp_map(-1.0, 1.0, measure, targets)
 
 
-def _check_half_plane_julia(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("half_plane_julia")
+@check(tolerance=1e-12)
+def half_plane_julia(ctx: CheckContext):
     grid = upper_half_plane_grid()
-    worst = -math.inf
-    worst_in = None
+    worst = _Worst()
     for mass, built in _beta_instances():
-        v = check_half_plane_julia(built.rep, grid)
-        if v > worst:
-            worst, worst_in = v, {"mass": mass}
-    return CheckOutcome("half_plane_julia", worst <= tol, worst, tol, worst_in,
-                        "canonical interior-support transforms; "
-                        "residual = max(beta Im z - Im Phi(z))")
+        worst.offer(check_half_plane_julia(built.rep, grid), {"mass": mass})
+    return (worst.residual, worst.where,
+            "canonical interior-support transforms; residual = max(beta Im z - Im Phi(z))")
 
 
-def _check_nevanlinna_beta(ctx: CheckContext) -> CheckOutcome:
-    tol = ctx.tolerance("nevanlinna_beta")
-    worst = -math.inf
-    worst_in = None
+@check(tolerance=1e-4)
+def nevanlinna_beta(ctx: CheckContext):
+    worst = _Worst()
     for mass, built in _beta_instances():
         expected = 1.0 / (1.0 + mass)
         est = angular_derivative(built, built.tau, built.tau)
         if est.diverged:
-            return CheckOutcome("nevanlinna_beta", False, None, tol,
-                                notes=f"dilation diverged for mass {mass}")
+            return None, None, f"dilation diverged for mass {mass}"
         resid = abs(est.value - expected) / expected
         resid = max(resid, est.value - 1.0)  # dilation at the DW point stays <= 1
-        if resid > worst:
-            worst = resid
-            worst_in = {"mass": mass, "measured": est.value, "expected": expected}
-    return CheckOutcome("nevanlinna_beta", worst <= tol, worst, tol, worst_in,
-                        "canonical instances: f'(tau) = 1/(1 + mass) and <= 1")
+        worst.offer(resid, {"mass": mass, "measured": est.value, "expected": expected})
+    return worst.residual, worst.where, "canonical instances: f'(tau) = 1/(1 + mass) and <= 1"
 
 
-CHECKS = {
-    "semigroup": _check_semigroup,
-    "disk_invariance": _check_disk_invariance,
-    "schwarz_pick": _check_schwarz_pick,
-    "julia": _check_julia,
-    "cowen_pommerenke": _check_cowen_pommerenke,
-    "dilation_tracking": _check_dilation_tracking,
-    "dilation_monotone": _check_dilation_monotone,
-    "chain_rule": _check_chain_rule,
-    "arc_lemma": _check_arc_lemma,
-    "oracle_agreement": _check_oracle_agreement,
-    "half_plane_julia": _check_half_plane_julia,
-    "nevanlinna_beta": _check_nevanlinna_beta,
-}
-
-assert set(CHECKS) == CHECK_NAMES
-
-
-def _run_one(ctx: CheckContext, name: str) -> CheckOutcome:
-    try:
-        return CHECKS[name](ctx)
-    except LoewnerError as exc:
-        return CheckOutcome(name, False, None, ctx.tolerance(name),
-                            notes=f"failed to evaluate: {exc}")
+CHECK_NAMES = frozenset(CHECKS)
 
 
 def run_verify(config: RunConfig) -> VerificationReport:
     """Execute every requested check in name order; failures are report
     entries, never exceptions.  Exit-code policy belongs to the CLI."""
     ctx = CheckContext(config)
-    outcomes = [_run_one(ctx, n) for n in sorted(set(config.checks))]
+    outcomes = [CHECKS[n](ctx) for n in sorted(set(config.checks))]
     return VerificationReport(outcomes, config_digest(config), {"loewner": __version__})

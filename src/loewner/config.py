@@ -27,6 +27,10 @@ ROLE_DW = "dw"
 #: angular slack when matching configured fixed points to field data
 _MATCH_TOL = 1e-9
 
+#: largest grid (radii x angles) a config may ask for; checked before the
+#: grid is allocated
+MAX_GRID_POINTS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class IntegrationWindow:
@@ -186,6 +190,9 @@ def parse_config(text: bytes | str) -> RunConfig:
     angles = json_member(grid_d, "angles", "/grid")
     _require(isinstance(angles, int) and not isinstance(angles, bool) and angles > 0,
              "angles must be a positive integer", "/grid/angles")
+    _require(len(radii) * angles <= MAX_GRID_POINTS,
+             f"grid of {len(radii)} radii x {angles} angles exceeds {MAX_GRID_POINTS} points",
+             "/grid/angles")
     grid = GridSpec(kind, radii, angles)
 
     checks_raw = json_member(data, "checks", "")

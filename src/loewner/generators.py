@@ -106,11 +106,6 @@ def _herglotz_start(imag_const: float) -> complex:
     return 1j * imag_const + 0j
 
 
-def _herglotz_sum(atoms, imag_const: float = 0.0) -> Callable:
-    """z -> i c + sum_j w_j (s_j + z)/(s_j - z) over the atoms (s_j, w_j)."""
-    return _atom_sum(_herglotz_term, _herglotz_start(imag_const), atoms)
-
-
 def _constant(c: complex) -> Callable:
     return lambda z: c if not isinstance(z, np.ndarray) else np.full_like(z, c)
 
@@ -245,12 +240,6 @@ class BerksonPortaField:
         mu = self.p_measure if self.p_measure is not None else self.p_schedule.measure_at(t)
         return tuple((a.position.value, a.weight) for a in mu.atoms)
 
-    def p_at(self, t: float):
-        """The Herglotz factor as a callable of z for the segment holding t."""
-        if self.p_const is not None:
-            return _constant(self.p_const)
-        return _herglotz_sum(self._atoms_at(t), self.imag_const)
-
     def kernel_data(self, t: float) -> KernelData:
         if self.p_const is not None:
             return KernelData("bp_const", self.tau, self.p_const, ())
@@ -310,11 +299,6 @@ class ReciprocalField:
     def kernel_data(self, t: float) -> KernelData:
         return KernelData("reciprocal", self.tau, _herglotz_start(0.0), self._atoms())
 
-    def p_at(self, t: float) -> Callable:
-        """The Herglotz factor 1/h as a callable of z."""
-        h = _herglotz_sum(self._atoms())
-        return lambda z: 1.0 / h(z)
-
     frozen_at = _frozen_at
 
     def to_dict(self) -> dict:
@@ -351,11 +335,6 @@ class CorollaryField:
 
     def kernel_data(self, t: float) -> KernelData:
         return KernelData("corollary", self.tau, 0j, self._q_atoms_at(t))
-
-    def p_at(self, t: float) -> Callable:
-        """The Herglotz factor (1 + z) q / 4 as a callable of z."""
-        q = _atom_sum(_q_term, 0j, self._q_atoms_at(t))
-        return lambda z: 0.25 * (1.0 + z) * q(z)
 
     frozen_at = _frozen_at
 

@@ -19,7 +19,6 @@ from loewner import (
     check_half_plane_julia,
     check_julia,
     dilation_curve,
-    estimate_dw,
     evolution_map,
     normalize_fix_origin,
 )
@@ -125,43 +124,6 @@ class TestCheckJulia:
     def test_bound_validation(self):
         with pytest.raises(DomainError):
             check_julia(identity_map, ONE, ONE, 0.0, disk_grid_100())
-
-
-class TestEstimateDW:
-    def test_interior_contraction(self):
-        m = MobiusTransform(1.0 / math.e, 0.0, 0.0, 1.0)  # z -> z/e
-        res = estimate_dw(m.apply, 0.9 + 0j)
-        assert res.converged and res.interior
-        assert abs(res.location) < 1e-9
-
-    def test_hyperbolic_boundary_dw(self):
-        m = hyperbolic_automorphism(1.0)
-        res = estimate_dw(m.apply, 0j, max_iter=2000)
-        assert res.converged and not res.interior
-        assert abs(res.location - 1.0) < 1e-6
-
-    def test_corollary_dw_at_one(self):
-        # hyperbolic instance: geometric approach, detector locks on fast
-        ev = evolution_map(corollary_delta(PI), 0.0, 1.0)
-        res = estimate_dw(ev, 0j, max_iter=100)
-        assert res.converged and not res.interior
-        assert abs(res.location - 1.0) < 1e-6
-
-    def test_parabolic_dw_approach_reported(self, cor_i):
-        # at the DW point of this field the dilation is 1, so boundary
-        # convergence is sub-geometric; the detector reports exhaustion
-        # honestly while the orbit is already heading for +1
-        ev = evolution_map(cor_i, 0.0, 1.0)
-        res = estimate_dw(ev, 0j, max_iter=150)
-        assert not res.converged
-        assert res.iterations_used == 150
-        assert abs(res.location - 1.0) < 0.05
-
-    def test_elliptic_non_convergence(self):
-        rot = MobiusTransform(cmath.exp(1j), 0.0, 0.0, 1.0)
-        res = estimate_dw(rot.apply, 0.5 + 0j, max_iter=60)
-        assert not res.converged
-        assert res.iterations_used == 60
 
 
 class TestDilationCurve:

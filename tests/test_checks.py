@@ -1,6 +1,10 @@
+import ast
 import json
 import math
+from pathlib import Path
 
+from loewner import CorollaryField, PoleError
+from loewner import checks
 from loewner.checks import (
     CHECK_NAMES,
     CHECKS,
@@ -72,6 +76,53 @@ class TestRegistry:
         (c,) = rep.checks
         assert c.tolerance_used == 1e-15
         assert not c.passed  # integration noise exceeds an absurd tolerance
+
+
+class TestOutcomeRules:
+    def test_each_exit_of_the_registration(self, monkeypatch):
+        # pass and fail by residual
+        for tol, passed in ((1.0, True), (1e-300, False)):
+            (c,) = run(config_dict(corollary_field_dict(), ["semigroup"],
+                                   tolerances={"semigroup": tol})).checks
+            assert (c.passed, c.tolerance_used) == (passed, tol)
+            assert 0.0 < c.max_residual < 1.0 and c.worst_input is not None
+        # a residual the body could not form fails with the check's own note
+        d = config_dict(corollary_field_dict(), ["julia"],
+                        [{"angle": 1.0, "expected_role": "brfp"}], skip=True)
+        (c,) = run(d).checks
+        assert c.to_dict() == {
+            "name": "julia", "pass": False, "max_residual": None, "tolerance_used": 1e-8,
+            "worst_input": None, "notes": "no finite expected dilation at angle 1.0"}
+        # a premise that does not hold
+        (c,) = run(config_dict(corollary_field_dict(), ["julia"])).checks
+        assert c.to_dict() == {
+            "name": "julia", "pass": True, "max_residual": 0.0, "tolerance_used": 1e-8,
+            "worst_input": None, "notes": "not applicable: no prescribed fixed points"}
+        # a LoewnerError while evaluating
+        def pole(z):
+            raise PoleError("evaluation point sits on a pole of the kernel")
+
+        monkeypatch.setattr(CorollaryField, "frozen_at", lambda self, t: pole)
+        (c,) = run(config_dict(corollary_field_dict(), ["schwarz_pick"])).checks
+        assert c.to_dict() == {
+            "name": "schwarz_pick", "pass": False, "max_residual": None,
+            "tolerance_used": 1e-10, "worst_input": None,
+            "notes": "failed to evaluate: evaluation point sits on a pole of the kernel"}
+
+    def test_only_the_registration_builds_outcomes(self):
+        def builders(node, owner=None):
+            """The innermost function around each CheckOutcome(...) call."""
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from builders(child, child.name)
+                    continue
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                        and child.func.id == "CheckOutcome"):
+                    yield owner
+                yield from builders(child, owner)
+
+        tree = ast.parse(Path(checks.__file__).read_text())
+        assert set(builders(tree)) == {"run"}
 
 
 class TestReportDeterminism:

@@ -2,9 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewner import ConfigError, CorollaryField
-from loewner.config import emit_config, parse_config
+from loewner.config import MAX_GRID_POINTS, RunConfig, emit_config, parse_config
 
 PI = math.pi
 
@@ -92,6 +94,16 @@ class TestParsing:
         with pytest.raises(ConfigError) as e:
             parse_config(as_bytes(d))
         assert e.value.pointer == "/grid/radii/1"
+
+    def test_grid_size_is_capped_before_allocation(self):
+        # parse only: points() would allocate the grid
+        for radii, angles in (([0.3, 0.6, 0.9], 10 ** 12), ([0.5] * 4, MAX_GRID_POINTS // 4 + 1)):
+            d = variant(grid={"kind": "polar", "radii": radii, "angles": angles})
+            with pytest.raises(ConfigError) as e:
+                parse_config(as_bytes(d))
+            assert e.value.pointer == "/grid/angles"
+        d = variant(grid={"kind": "polar", "radii": [0.5] * 4, "angles": MAX_GRID_POINTS // 4})
+        assert parse_config(as_bytes(d)).grid.angles == MAX_GRID_POINTS // 4
 
     def test_unsupported_grid_kind(self):
         d = variant(grid={"kind": "cartesian", "radii": [0.5], "angles": 8})
@@ -234,3 +246,82 @@ class TestValidationHook:
         d["skip_field_validation"] = False
         with pytest.raises(ConfigError):
             parse_config(as_bytes(d))
+
+
+SCHEDULE = {"segments": [
+    {"t0": 0, "t1": 1, "measure": {"atoms": [{"angle": 1.0, "weight": 0.5},
+                                             {"angle": 4.0, "weight": 0.7}]}},
+    {"t0": 1, "t1": 2, "measure": {"atoms": [{"angle": 2.5, "weight": 1.0}],
+                                   "excluded_angle": None}}], "hold_last": True}
+
+#: valid configs that together hold every member the parser reads
+MUTATION_BASES = [
+    variant(fixed_points=[{"angle": PI, "expected_role": "brfp"},
+                          {"angle": 0.0, "expected_role": "dw"}],
+            output={"trajectory_csv": "out", "report_json": "rep.json", "combined": True},
+            tolerances={"semigroup": 1e-7}, skip_field_validation=False),
+    variant(field=FIELDS["reciprocal-circle"],
+            fixed_points=[{"angle": 2 * PI / 3, "expected_role": "brfp"},
+                          {"angle": 0.0, "expected_role": "dw"}]),
+    variant(field={"kind": "berkson_porta", "tau": {"re": 0.2, "im": 0.1},
+                   "p": {"schedule": SCHEDULE, "imag_const": 0.3}},
+            integration={"t0": 0.5, "t1": 3.0}),
+    variant(field={"kind": "berkson_porta", "tau": {"angle": PI},
+                   "p": {"measure": SCHEDULE["segments"][0]["measure"]}}),
+    variant(field={"kind": "berkson_porta", "tau": {"angle": 0.0},
+                   "p": {"const_re": 1.0, "const_im": -0.5}}),
+]
+
+
+def _members(node, path=()):
+    """The path of every member below node, objects and arrays alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _members(child, path + (key,))
+
+
+REPLACEMENTS = st.one_of(
+    st.none(),
+    st.integers(-10 ** 13, 10 ** 13),
+    st.floats(),
+    st.text(max_size=12),
+    st.booleans(),
+    st.lists(st.one_of(st.none(), st.integers(-3, 3), st.floats(), st.text(max_size=4)),
+             max_size=3),
+    st.dictionaries(st.text(max_size=8), st.one_of(st.none(), st.floats(), st.text(max_size=4)),
+                    max_size=3),
+)
+
+
+@st.composite
+def single_member_mutations(draw):
+    base = draw(st.sampled_from(MUTATION_BASES))
+    config = json.loads(json.dumps(base))
+    path = draw(st.sampled_from(list(_members(config))))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(REPLACEMENTS)
+    return config
+
+
+class TestMutatedConfigs:
+    @pytest.mark.parametrize("base", range(len(MUTATION_BASES)))
+    def test_bases_are_valid(self, base):
+        assert isinstance(parse_config(as_bytes(MUTATION_BASES[base])), RunConfig)
+
+    @given(single_member_mutations())
+    @settings(max_examples=500, deadline=None)
+    def test_one_changed_member_parses_or_names_a_config_error(self, config):
+        # deleting a member, or replacing it by null, a number, a string, a
+        # bool, a list or an object, never escapes as another exception
+        try:
+            parsed = parse_config(as_bytes(config))
+        except ConfigError:
+            return
+        assert isinstance(parsed, RunConfig)

@@ -165,8 +165,12 @@ class TestGeneratorAdmissibility:
         ids=["radial", "parabolic", "three-atoms", "cor-pi", "cor-i", "two-seg"],
     )
     def test_herglotz_factor_has_nonnegative_real_part(self, fld):
-        p = fld.p_at(0.0)(polar_grid(np.linspace(0.06, 0.96, 16), 16))
-        assert float(np.min(np.asarray(p).real)) >= 0.0
+        # Berkson-Porta: G = (tau - z)(1 - conj(tau) z) p; for the corollary
+        # field (tau = 1) this gives p = G / (1 - z)^2
+        z = polar_grid(np.linspace(0.06, 0.96, 16), 16)
+        tau = fld.tau
+        p = fld.frozen_at(0.0)(z) / ((tau - z) * (1.0 - np.conj(tau) * z))
+        assert float(np.min(p.real)) >= 0.0
 
 
 class TestNullQuotient:

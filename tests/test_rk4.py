@@ -164,6 +164,23 @@ def test_second_process_loads_the_cache_without_compiling(tmp_path):
     assert sorted(cache.iterdir()) == built
 
 
+def test_a_new_build_removes_stale_libraries(tmp_path):
+    cache = tmp_path / "loewner"
+    cache.mkdir(mode=0o700)
+    (cache / "rk4-0000000000000000.so").write_bytes(b"library of an older source")
+    (cache / ".rk4-concurrent.so").write_bytes(b"a build in progress")
+    (cache / "rk4-undeletable.so").mkdir()  # unlink fails: the load must not
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=SRC)
+    child = _backend_in_child(env)
+    if child.stdout.startswith("no C compiler"):
+        pytest.skip(child.stdout.strip())
+    assert child.stdout.strip() == "c", child.stderr
+    left = sorted(p.name for p in cache.iterdir())
+    built = [n for n in left if n.startswith("rk4-") and n != "rk4-undeletable.so"]
+    assert len(built) == 1 and built[0] != "rk4-0000000000000000.so"
+    assert left == sorted([".rk4-concurrent.so", built[0], "rk4-undeletable.so"])
+
+
 def test_import_and_parse_neither_load_nor_compile(tmp_path):
     code = ("import sys, loewner.cli; from loewner.config import parse_config; "
             "print('loewner._rk4' in sys.modules)")
