@@ -19,7 +19,6 @@ from .disk import (
     BoundaryPoint,
     CayleyMap,
     MobiusTransform,
-    build_automorphism,
     pseudo_hyperbolic_distance,
     require_interior,
 )
@@ -64,7 +63,5 @@ from .measures import (
     RealAtomicMeasure,
     ScheduleSegment,
     circle_measure,
-    corollary_q_eval,
-    herglotz_eval,
     nevanlinna_eval,
 )

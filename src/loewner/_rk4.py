@@ -1,4 +1,5 @@
-"""Loader of the compiled RK4 window, ``_rk4.c``.
+"""Loader of the compiled integration windows, ``_rk4.c``: RK4 over a
+fixed grid and adaptive Dormand-Prince 4(5).
 
 The source is compiled on first use, never at import, with
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into a private per-user cache,
@@ -9,20 +10,29 @@ later process loads the cached library without running the compiler.
 A new build removes the libraries of other sources or commands from the
 cache, but never a concurrent build's temporary file.
 
-After loading, a probe runs a few dozen RK4 steps of each kernel kind
-through the compiled window and through the numpy loop and compares
-every bit.  With no compiler, a failed build or any differing bit,
-``load`` returns no window and the reason, and ``rk4_oracle`` runs on
-numpy and reports the reason in its ``SolverStats``.
+After loading, a probe runs a few dozen RK4 steps and a few
+Dormand-Prince windows of each kernel kind, with step rejections and
+recorded rows, through the compiled windows and through the numpy loops
+and compares every bit.  With no compiler, a failed build or any
+differing bit, ``load`` returns no windows and the reason, and
+``integrate`` runs both integrators on numpy and reports the reason in
+its ``SolverStats``.
+
+A Dormand-Prince window writes the rows it records into a buffer of
+``_ROWS`` rows; when the buffer is full, the window returns with its
+controller state saved and the next call continues it, so the buffer
+never caps the number of steps.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import shutil
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,14 +41,34 @@ _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _KINDS = {"bp_const": 0, "bp_herglotz": 1, "reciprocal": 2, "corollary": 3}
 
-_loaded: tuple | None = None  # (window or None, fallback reason), once per process
+_ROWS = 256  # rows one call of the DP window records before it returns
+_ROWS_FULL = 1
+_FAILURES = {2: "step_underflow", 3: "boundary_guard"}
+
+_loaded: tuple | None = None  # (Windows or None, fallback reason), once per process
+
+
+class Windows(NamedTuple):
+    """The compiled windows.
+
+    ``rk4(data, grid, y)`` advances the contiguous complex state y in
+    place over the grid with the field kernel ``data`` (a
+    ``generators.KernelData``) and returns what ``integrate._rk4_steps``
+    returns as its index.
+
+    ``dp(data, t0, t1, y, tol, guard, record, tally)`` advances y in place
+    over [t0, t1] as ``integrate._dp_steps`` does, appends the same
+    accepted rows to ``record`` (if not None), sets the same counts in
+    ``tally`` and returns what it returns after the state: (t, last h,
+    failure reason or "").
+    """
+
+    rk4: Callable
+    dp: Callable
 
 
 def load():
-    """(run, reason): ``run(data, grid, y)`` advances the contiguous
-    complex state y in place over the grid with the field kernel
-    ``data`` (a ``generators.KernelData``) and returns what
-    ``integrate._rk4_steps`` returns as its index; or (None, why not)."""
+    """(Windows, "") or (None, why not)."""
     global _loaded
     if _loaded is None:
         _loaded = _load()
@@ -52,27 +82,65 @@ def _load():
         return None, str(exc)
     import ctypes
 
-    ptr, n = ctypes.c_void_p, ctypes.c_long
-    window = lib.rk4_window
-    window.argtypes = (ctypes.c_int, ptr, ptr, ptr, n, ptr, n, ptr, n)
-    window.restype = n
+    from .integrate import _unwrap
+
+    ptr, n, i = ctypes.c_void_p, ctypes.c_long, ctypes.c_int
+    rk4_window = lib.rk4_window
+    rk4_window.argtypes = (i, ptr, ptr, ptr, n, ptr, n, ptr, n)
+    rk4_window.restype = n
+    dp_window = lib.dp_window
+    dp_window.argtypes = (i, ptr, ptr, ptr, n, ptr, ptr, ptr, ptr, ptr, ptr, n, ptr, ptr, n, i)
+    dp_window.restype = n
     max_abs = lib.max_abs
     max_abs.argtypes = (ptr, n)
     max_abs.restype = ctypes.c_double
+    count_type = np.dtype(n)
 
-    def run(data, grid, y):
-        tau = np.array([data.tau], dtype=complex)
-        start = np.array([data.start], dtype=complex)
-        atoms = np.array(data.atoms, dtype=complex).reshape(-1, 2)
+    def rk4(data, grid, y):
+        kernel = _packed(data, y)
         grid = np.ascontiguousarray(grid, dtype=float)
-        if y.dtype != complex or not y.flags.c_contiguous or not y.flags.writeable:
-            raise ValueError("the state must be a writeable contiguous complex array")
-        return window(_KINDS[data.kind], tau.ctypes.data, start.ctypes.data,
-                      atoms.ctypes.data, len(atoms), grid.ctypes.data, len(grid),
-                      y.ctypes.data, y.size)
+        return rk4_window(*kernel, grid.ctypes, len(grid), y.ctypes, y.size)
 
-    fault = _probe(run, lambda y: max_abs(y.ctypes.data, y.size))
-    return (None, fault) if fault else (run, "")
+    def dp(data, t0, t1, y, tol, guard, record, tally):
+        kernel = _packed(data, y)
+        settings = np.array([t1, tol.rel_tol, tol.abs_tol, tol.max_step, tol.min_step,
+                             tol.boundary_guard, float(guard)])
+        ctl = np.array([t0, min(tol.max_step, t1 - t0), 1.0, -1.0, math.inf, 0.0])
+        count = np.zeros(4, dtype=count_type)
+        slope, work = np.empty_like(y), np.empty(2 * y.size, dtype=complex)
+        cap = 0 if record is None else _ROWS
+        rows_t, rows_w = np.empty(cap), np.empty((cap, *y.shape), dtype=complex)
+        buffers = [a.ctypes for a in (settings, ctl, count, y, slope, work)]
+        rows = (rows_t.ctypes, rows_w.ctypes) if cap else (None, None)
+        fresh = 1
+        while True:
+            status = dp_window(*kernel, *buffers, y.size, *rows, cap, fresh)
+            if record is not None:
+                k = int(count[3])
+                ws = rows_w[:k, 0].tolist() if y.shape == (1,) else map(_unwrap, rows_w[:k])
+                record.extend(zip(rows_t[:k].tolist(), ws))
+            if status != _ROWS_FULL:
+                break
+            fresh = 0
+        tally.accepted, tally.rejected_error, tally.rejected_guard = count[:3].tolist()
+        t, h, _, guard_h, tally.h_min, tally.h_max = ctl.tolist()
+        failure = _FAILURES.get(status, "")
+        return t, guard_h if failure == "boundary_guard" else h, failure
+
+    fault = _probe(Windows(rk4, dp), lambda y: max_abs(y.ctypes.data, y.size))
+    return (None, fault) if fault else (Windows(rk4, dp), "")
+
+
+def _packed(data, y) -> tuple:
+    """The leading arguments of both windows for the kernel ``data``, after
+    checking the state they will write to."""
+    if y.dtype != complex or not y.flags.c_contiguous or not y.flags.writeable:
+        raise ValueError("the state must be a writeable contiguous complex array")
+    tau = np.array([data.tau], dtype=complex)
+    start = np.array([data.start], dtype=complex)
+    atoms = np.array(data.atoms, dtype=complex).reshape(-1, 2)
+    # an array's .ctypes passes its address and keeps the array alive
+    return _KINDS[data.kind], tau.ctypes, start.ctypes, atoms.ctypes, len(atoms)
 
 
 def _cache_dir() -> Path:
@@ -128,21 +196,32 @@ def _compile(command, source: bytes, path: Path) -> None:
             os.unlink(tmp)
 
 
-def _probe(run, max_abs) -> str:
-    """'' if the compiled window reproduces the numpy loop to the bit on
+def _probe(windows: Windows, max_abs) -> str:
+    """'' if both compiled windows reproduce the numpy loops to the bit on
     each kernel kind, else what differed."""
     from .generators import kernel_probe_fields
-    from .integrate import _rk4_steps
+    from .integrate import ToleranceSettings, _dp_steps, _rk4_steps, _Tally
 
     grid = np.linspace(0.0, 0.4, 33)
     points = 0.93 * np.exp(1j * np.arange(17)) * np.linspace(0.0, 1.0, 17)
+    # a few dozen DP steps: the first ones are rejected on error, and the
+    # bp_herglotz points near the circle meet the boundary guard
+    tol = ToleranceSettings(rel_tol=1e-6, abs_tol=1e-8, max_step=0.35)
     for spec in kernel_probe_fields():
         data = spec.kernel_data(0.5)
         for n in (1, 16, 17):
             want, want_fail = _rk4_steps(data.kernel(), grid, points[:n].copy())
             got = points[:n].copy()
-            if run(data, grid, got) != want_fail or got.tobytes() != want.tobytes():
-                return f"compiled window differs from numpy on {data.kind}, {n} points"
+            if windows.rk4(data, grid, got) != want_fail or got.tobytes() != want.tobytes():
+                return f"compiled RK4 window differs from numpy on {data.kind}, {n} points"
+            want_rows, want_tally = [], _Tally()
+            want, *want_end = _dp_steps(data.kernel(), 0.05, 0.4, points[:n].copy(), tol,
+                                        True, want_rows, want_tally)
+            got, got_rows, got_tally = points[:n].copy(), [], _Tally()
+            got_end = windows.dp(data, 0.05, 0.4, got, tol, True, got_rows, got_tally)
+            if (got.tobytes() != want.tobytes() or list(got_end) != want_end
+                    or got_tally != want_tally or _bits(got_rows) != _bits(want_rows)):
+                return f"compiled DP window differs from numpy on {data.kind}, {n} points"
     # moduli within a few ulps of 1, where the guard decides, and extremes;
     # numpy's max propagates NaN
     y = np.concatenate([np.exp(1j * np.arange(32)) * (1.0 + 2.0 ** -52 * np.arange(-16, 16)),
@@ -152,3 +231,8 @@ def _probe(run, max_abs) -> str:
     if got.tobytes() != np.append(want, want.max()).tobytes():
         return "compiled complex abs differs from numpy"
     return ""
+
+
+def _bits(rows) -> bytes:
+    return (np.array([t for t, _ in rows]).tobytes()
+            + np.array([w for _, w in rows], dtype=complex).tobytes())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, DomainError, PoleError, ValidationError
+from .errors import DomainError, PoleError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,10 +97,6 @@ class MobiusTransform:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    @classmethod
-    def identity(cls) -> "MobiusTransform":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
     def apply(self, z):
         """Evaluate at a complex number or a numpy array of them."""
         if isinstance(z, np.ndarray):
@@ -119,33 +115,12 @@ class MobiusTransform:
     def inverse(self) -> "MobiusTransform":
         return MobiusTransform(self.d, -self.b, -self.c, self.a)
 
-    def compose(self, other: "MobiusTransform") -> "MobiusTransform":
-        """Return self after other: z -> self(other(z))."""
-        return MobiusTransform(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def derivative(self, z: complex) -> complex:
         det = self.a * self.d - self.b * self.c
         den = self.c * complex(z) + self.d
         if abs(den) < POLE_EPS:
             raise PoleError(f"Mobius derivative has a pole at z = {z}")
         return det / (den * den)
-
-    def is_disk_automorphism(self, tol: float = 1e-12, samples: int = 16) -> bool:
-        """Sampled check that the unit circle maps onto itself."""
-        for k in range(samples):
-            z = cmath.exp(1j * TWO_PI * k / samples)
-            try:
-                w = self.apply(z)
-            except PoleError:
-                return False
-            if abs(abs(w) - 1.0) > tol:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -183,10 +158,6 @@ class CayleyMap:
             raise PoleError("inverse Cayley map has a pole at w = -i")
         return t * (w - 1j) / den
 
-    def as_mobius(self) -> MobiusTransform:
-        t = self.tau.value
-        return MobiusTransform(1j, 1j * t, -1.0, t)
-
     def boundary_image(self, sigma: BoundaryPoint) -> float:
         """Image of a circle point other than tau; lands on the real axis."""
         if self.tau.gap(sigma) <= ANGLE_GAP:
@@ -200,51 +171,3 @@ def pseudo_hyperbolic_distance(z1: complex, z2: complex) -> float:
     z2 = require_interior(z2, "z2")
     return abs(z1 - z2) / abs(1.0 - z2.conjugate() * z1)
 
-
-def build_automorphism(
-    fix1: BoundaryPoint,
-    fix2: BoundaryPoint,
-    *,
-    dilation_at_fix1: float | None = None,
-    interior_pair: tuple[complex, complex] | None = None,
-) -> MobiusTransform:
-    """Disk automorphism with boundary fixed points fix1 and fix2.
-
-    Exactly one extra constraint pins the map down: either the angular
-    derivative at fix1 (``dilation_at_fix1``) or an interior point and
-    its required image (``interior_pair``).  Construction conjugates to
-    a half-plane where the fixed points sit at 0 and infinity and the
-    map is w -> lam * w, so the result is exact and the derivative at
-    fix2 is 1/lam.
-    """
-    if fix1.gap(fix2) <= ANGLE_GAP:
-        raise DomainError("fixed points must be distinct")
-    if (dilation_at_fix1 is None) == (interior_pair is None):
-        raise DomainError("give exactly one of dilation_at_fix1, interior_pair")
-
-    half = CayleyMap(fix2).as_mobius()  # fix2 -> infinity
-    x1 = CayleyMap(fix2).boundary_image(fix1)
-    shift = MobiusTransform(1.0, -x1, 0.0, 1.0)  # fix1 -> 0
-    conj = shift.compose(half)
-
-    if dilation_at_fix1 is not None:
-        lam = float(dilation_at_fix1)
-        if not lam > 0.0:
-            raise DomainError("dilation must be positive")
-    else:
-        z0, w0 = interior_pair
-        zeta = conj.apply(require_interior(z0, "interior_pair[0]"))
-        omega = conj.apply(require_interior(w0, "interior_pair[1]"))
-        lam = abs(omega) / abs(zeta)
-        if abs(lam * zeta - omega) > 1e-9 * (1.0 + abs(omega)):
-            raise ConstraintError(
-                "interior pair is not reachable by an automorphism fixing the axis"
-            )
-
-    if lam == 1.0:
-        return MobiusTransform.identity()
-    scale = MobiusTransform(lam, 0.0, 0.0, 1.0)
-    m = conj.inverse().compose(scale).compose(conj)
-    if not m.is_disk_automorphism():
-        raise ConstraintError("construction did not produce a disk automorphism")
-    return m

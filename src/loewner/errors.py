@@ -29,13 +29,22 @@ class IntegrationError(LoewnerError, RuntimeError):
     """ODE integration could not continue.
 
     Carries the last accepted time and state so a caller can report
-    how far the trajectory got before failing.
+    how far the trajectory got before failing, and why it stopped:
+    ``reason`` is ``"step_underflow"`` (the step-size controller drove
+    the step below ``min_step``), ``"boundary_guard"`` (the boundary
+    guard rejected every step down to ``min_step``) or ``"left_disk"``
+    (an RK4 oracle step left the closed disk); ``window`` is the
+    integration window (t0, t1) that failed and ``last_h`` the step that
+    underflowed, the last one the guard rejected, or the oracle step.
     """
 
-    def __init__(self, message, t=None, w=None):
+    def __init__(self, message, t=None, w=None, reason=None, window=None, last_h=None):
         super().__init__(message)
         self.t = t
         self.w = w
+        self.reason = reason
+        self.window = window
+        self.last_h = last_h
 
 
 class NotTangentError(DomainError):

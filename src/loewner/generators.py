@@ -30,7 +30,8 @@ every variant is constant in time, which the integrator exploits via
 the window's measure), and ``frozen_at(t)`` is that data's numpy kernel.
 It packs the atoms once, as ``(m, 1)`` numpy columns, evaluates every
 atom term of an array state in one broadcast expression and adds the
-terms in one pass.  The compiled RK4 window reads the same data.
+terms in one pass.  The callable carries that data as its
+``kernel_data``, and the compiled RK4 and Dormand-Prince windows read it.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def _atom_sum(term, start: complex, atoms) -> Callable:
     (a_j, b_j), packed once.
 
     The terms are added one by one in atom order after ``start``, the
-    order of the reference formulas ``herglotz_eval`` and
-    ``corollary_q_eval``, so results agree to the bit.  An array state
+    order of the term-by-term reference formulas the tests keep
+    (``tests/reference.py``), so results agree to the bit.  An array state
     gets all terms from one broadcast over ``(m, 1)`` atom columns and a
     running sum over axis 0; ``np.add.reduce`` would not do, as it sums
     a one-point state pairwise and adds its initial value last.
@@ -112,8 +113,8 @@ def _constant(c: complex) -> Callable:
 
 class KernelData(NamedTuple):
     """The field kernel of one window as plain numbers.  ``kernel()``
-    evaluates it in numpy, and the compiled RK4 window (``_rk4.c``)
-    evaluates the same expressions in the same order.
+    evaluates it in numpy, and the compiled RK4 and Dormand-Prince
+    windows (``_rk4.c``) evaluate the same expressions in the same order.
 
     ``kind`` names the formula: ``"bp_const"`` and ``"bp_herglotz"`` are
     (tau - z)(1 - conj(tau) z) p(z), ``"reciprocal"`` divides by p(z)
@@ -129,7 +130,14 @@ class KernelData(NamedTuple):
     atoms: tuple[tuple[complex, complex], ...]
 
     def kernel(self) -> Callable:
-        """G as a callable of z, a Python complex or a numpy array."""
+        """G as a callable of z, a Python complex or a numpy array.  The
+        callable carries this data as its ``kernel_data``, which lets the
+        integrator run a window of it in one compiled call."""
+        g = self._formula()
+        g.kernel_data = self
+        return g
+
+    def _formula(self) -> Callable:
         if self.kind == "corollary":
             q = _atom_sum(_q_term, self.start, self.atoms)
             return lambda z: 0.25 * (1.0 - z) ** 2 * (1.0 + z) * q(z)

@@ -15,11 +15,6 @@ def polar_grid(radii, n_angles: int) -> np.ndarray:
     return np.concatenate([r * ring for r in radii]) if radii.size else ring[:0]
 
 
-def disk_grid_64() -> np.ndarray:
-    """8 radii x 8 angles, staying clear of the boundary."""
-    return polar_grid([0.15, 0.3, 0.45, 0.6, 0.72, 0.82, 0.9, 0.95], 8)
-
-
 def disk_grid_100() -> np.ndarray:
     return polar_grid([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.88, 0.95], 10)
 

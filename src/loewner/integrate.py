@@ -7,12 +7,19 @@ discontinuous in t there, and crossing would wreck the order), and any
 step landing within ``boundary_guard`` of the unit circle is rejected
 and halved rather than projected back, so disk invariance failures are
 loud instead of silent.  A classical fixed-step RK4 provides the
-independent cross-validation oracle.  Its numpy loop costs about 60
-numpy calls per step, so each of its windows runs in one call of a
-compiled C loop (``_rk4.c``, loaded by ``_rk4``) that evaluates the
-same expressions in numpy's operation order and gives the same bits; a
-field without ``kernel_data``, or a machine where the library cannot be
-built or fails its load-time probe, keeps the numpy loop.
+independent cross-validation oracle.
+
+Both numpy loops cost dozens of numpy calls per step, so each window of
+either integrator runs in one call of a compiled C loop (``_rk4.c``,
+loaded by ``_rk4``) that evaluates the same expressions in numpy's
+operation order and gives the same bits.  A Dormand-Prince window takes
+the compiled path only when the field callable it is given carries its
+``kernel_data`` (the callables ``frozen_at`` returns do); any other
+callable, such as the boundary flow, which raises ``NotTangentError``
+from inside its field, or a wrapper that counts calls, keeps the numpy
+loop.  An RK4 window takes it when the field gives ``kernel_data``.  A
+machine where the library cannot be built or fails its load-time probe
+keeps the numpy loops.
 
 State may be a single complex number or a numpy array of them; an array
 is advanced as one system with a shared step sequence.  ``evolve_at``
@@ -25,9 +32,10 @@ s = t.
 Inside ``with collect_stats() as sink``, every integration window adds
 its ``SolverStats`` to ``sink.stats``: windows, accepted steps, steps
 rejected on error and by the boundary guard, field evaluations (counted
-in the compiled RK4 window too), the smallest and largest accepted step,
-and which RK4 backend ran and why numpy did.  Outside such a block no
-window records anything.
+in the compiled windows too), the smallest and largest accepted step,
+and which backend ran the latest RK4 and Dormand-Prince windows and why
+numpy did.  Outside such a block no window records anything.  A failed
+window raises ``IntegrationError`` with a machine-readable ``reason``.
 """
 
 from __future__ import annotations
@@ -87,10 +95,12 @@ class SolverStats:
     """Work done by the integration windows run inside ``collect_stats``.
 
     ``fevals`` counts field evaluations of completed steps, in the
-    compiled RK4 window too, which never calls ``frozen_at``'s callable.
-    ``h_min`` and ``h_max`` range over accepted steps.  ``rk4_backend`` is
-    ``"c"`` or ``"numpy"`` for the latest RK4 window (empty before one
-    ran) and ``rk4_fallback`` says why that window ran on numpy.
+    compiled windows too, which never call ``frozen_at``'s callable:
+    1 + 6 per step attempt in a Dormand-Prince window, 4 per RK4 step.
+    ``h_min`` and ``h_max`` range over accepted steps.  ``rk4_backend``
+    and ``dp_backend`` are ``"c"`` or ``"numpy"`` for the latest RK4 and
+    Dormand-Prince window (empty before one ran), and ``rk4_fallback``
+    and ``dp_fallback`` say why that window ran on numpy.
     """
 
     windows: int = 0
@@ -102,15 +112,18 @@ class SolverStats:
     h_max: float = 0.0
     rk4_backend: str = ""
     rk4_fallback: str = ""
+    dp_backend: str = ""
+    dp_fallback: str = ""
 
     def merge(self, other: "SolverStats") -> "SolverStats":
-        latest = other if other.rk4_backend else self
+        rk4 = other if other.rk4_backend else self
+        dp = other if other.dp_backend else self
         return SolverStats(
             self.windows + other.windows, self.accepted + other.accepted,
             self.rejected_error + other.rejected_error,
             self.rejected_guard + other.rejected_guard, self.fevals + other.fevals,
             min(self.h_min, other.h_min), max(self.h_max, other.h_max),
-            latest.rk4_backend, latest.rk4_fallback)
+            rk4.rk4_backend, rk4.rk4_fallback, dp.dp_backend, dp.dp_fallback)
 
 
 class StatsSink:
@@ -162,62 +175,106 @@ def _step_once(fun, t, y, h, k1):
     return y5, h * err, k7
 
 
-def _integrate_window(fun, t0, t1, y, tol, guard, record):
-    """Adaptive integration over [t0, t1] with a time-constant fun."""
-    span = t1 - t0
+@dataclass
+class _Tally:
+    """Step counts of one Dormand-Prince window, kept current while it
+    runs, so that a window that raises still reports its work."""
+
+    accepted: int = 0
+    rejected_error: int = 0
+    rejected_guard: int = 0
+    h_min: float = math.inf
+    h_max: float = 0.0
+
+
+def _dp_steps(fun, t0, t1, y, tol, guard, record, tally):
+    """Dormand-Prince in numpy over [t0, t1] with a time-constant fun:
+    (state, t, last h, failure reason or "").  Counts the steps in tally
+    and appends each accepted (t, w) to record, if not None.  On a
+    failure, the state and t are the last accepted ones and last h is the
+    step that underflowed, or the last one the boundary guard rejected."""
     t = t0
-    h = min(tol.max_step, span)
+    h = min(tol.max_step, t1 - t0)
     k1 = fun(y)
     err_prev = 1.0
     guard_h = None  # the step the boundary guard rejected last, if it did
-    accepted = rejected_error = rejected_guard = 0
-    h_min, h_max = math.inf, 0.0
+    while t < t1:
+        h = min(h, t1 - t)
+        # underflow only counts when the controller forced it, not when
+        # the window remainder itself is tiny
+        if h < tol.min_step and t1 - t > tol.min_step:
+            if guard_h is not None:
+                return y, t, guard_h, "boundary_guard"
+            return y, t, h, "step_underflow"
+        y5, err_vec, k7 = _step_once(fun, t, y, h, k1)
+        if guard and float(np.max(np.abs(y5))) >= 1.0 - tol.boundary_guard:
+            tally.rejected_guard += 1
+            guard_h = h
+            h *= 0.5
+            continue
+        guard_h = None
+        scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        err = float(np.max(np.abs(err_vec) / scale))
+        if err <= 1.0:
+            tally.accepted += 1
+            tally.h_min, tally.h_max = min(tally.h_min, h), max(tally.h_max, h)
+            t_new = t + h
+            if t1 - t_new <= 1e-14 * max(1.0, abs(t1)):
+                t_new = t1
+            t, y, k1 = t_new, y5, k7
+            if record is not None:
+                record.append((t, _unwrap(y)))
+            e = max(err, 1e-10)
+            fac = _SAFETY * e ** (-_PI_ALPHA) * err_prev ** (_PI_BETA)
+            h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), tol.max_step)
+            err_prev = e
+        else:
+            tally.rejected_error += 1
+            h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+    return y, t, h, ""
+
+
+def _integrate_window(fun, t0, t1, y, tol, guard, record):
+    """``_dp_steps``, in one compiled call where fun carries its
+    ``kernel_data`` and the compiled window loaded, and in numpy
+    otherwise, to the same bits; raises IntegrationError on a failure."""
+    data = getattr(fun, "kernel_data", None)
+    lib, reason = _compiled(data, y, "field callable carries no kernel data")
+    tally = _Tally()
     try:
-        while t < t1:
-            h = min(h, t1 - t)
-            # underflow only counts when the controller forced it, not when
-            # the window remainder itself is tiny
-            if h < tol.min_step and t1 - t > tol.min_step:
-                if guard_h is not None:
-                    raise IntegrationError(
-                        f"boundary guard rejected every step from t = {t} in window "
-                        f"[{t0}, {t1}] (last h = {guard_h:.3g})", t=t, w=_unwrap(y)
-                    )
-                raise IntegrationError(
-                    f"step size underflow at t = {t}", t=t, w=_unwrap(y)
-                )
-            y5, err_vec, k7 = _step_once(fun, t, y, h, k1)
-            if guard and float(np.max(np.abs(y5))) >= 1.0 - tol.boundary_guard:
-                rejected_guard += 1
-                guard_h = h
-                h *= 0.5
-                continue
-            guard_h = None
-            scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.max(np.abs(err_vec) / scale))
-            if err <= 1.0:
-                accepted += 1
-                h_min, h_max = min(h_min, h), max(h_max, h)
-                t_new = t + h
-                if t1 - t_new <= 1e-14 * max(1.0, abs(t1)):
-                    t_new = t1
-                t, y, k1 = t_new, y5, k7
-                if record is not None:
-                    record.append((t, _unwrap(y)))
-                e = max(err, 1e-10)
-                fac = _SAFETY * e ** (-_PI_ALPHA) * err_prev ** (_PI_BETA)
-                h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), tol.max_step)
-                err_prev = e
-            else:
-                rejected_error += 1
-                h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+        if lib is None:
+            y, t, h, failure = _dp_steps(fun, t0, t1, y, tol, guard, record, tally)
+        else:
+            t, h, failure = lib.dp(data, t0, t1, y, tol, guard, record, tally)
     finally:
         sink = _SINK.get()
         if sink is not None:
-            steps = accepted + rejected_error + rejected_guard
-            sink.add(SolverStats(1, accepted, rejected_error, rejected_guard,
-                                 1 + 6 * steps, h_min, h_max))
-    return y
+            steps = tally.accepted + tally.rejected_error + tally.rejected_guard
+            sink.add(SolverStats(1, tally.accepted, tally.rejected_error,
+                                 tally.rejected_guard, 1 + 6 * steps, tally.h_min,
+                                 tally.h_max, dp_backend="numpy" if lib is None else "c",
+                                 dp_fallback=reason))
+    if not failure:
+        return y
+    if failure == "boundary_guard":
+        text = (f"boundary guard rejected every step from t = {t} in window "
+                f"[{t0}, {t1}] (last h = {h:.3g})")
+    else:
+        text = f"step size underflow at t = {t}"
+    raise IntegrationError(text, t=t, w=_unwrap(y), reason=failure, window=(t0, t1),
+                           last_h=h)
+
+
+def _compiled(data, y, without_data: str):
+    """(the compiled windows, "") when a window of the kernel ``data`` on
+    the state y can run compiled, else (None, why not)."""
+    from . import _rk4
+
+    if data is None:
+        return None, without_data
+    if not y.size:
+        return None, "empty state"
+    return _rk4.load()
 
 
 def _as_state(z):
@@ -318,7 +375,8 @@ def rk4_oracle(spec: FieldSpec, s: float, t: float, z, n_steps: int):
         if fail >= 0:
             t1 = inside[fail + 1]
             raise IntegrationError(
-                f"oracle state left the disk at t = {t1}", t=t1, w=_unwrap(y)
+                f"oracle state left the disk at t = {t1}", t=t1, w=_unwrap(y),
+                reason="left_disk", window=(a, b), last_h=float(t1 - inside[fail])
             )
     return _unwrap(y) if scalar else y
 
@@ -341,14 +399,10 @@ def _rk4_steps(g, grid, y):
 def _rk4_window(spec, t, grid, y):
     """``_rk4_steps`` with the field frozen at t, in one compiled call
     where the field gives ``kernel_data`` and the compiled window loaded."""
-    from . import _rk4
-
     data = spec.kernel_data(t) if hasattr(spec, "kernel_data") else None
-    run, reason = _rk4.load() if data is not None else (None, "field gives no kernel data")
-    if run is not None and not y.size:
-        run, reason = None, "empty state"
-    if run is not None:
-        fail = run(data, grid, y)
+    lib, reason = _compiled(data, y, "field gives no kernel data")
+    if lib is not None:
+        fail = lib.rk4(data, grid, y)
     else:
         y, fail = _rk4_steps(spec.frozen_at(t), grid, y)
     sink = _SINK.get()
@@ -359,7 +413,7 @@ def _rk4_window(spec, t, grid, y):
         sink.add(SolverStats(1, accepted, 0, steps - accepted, 4 * steps,
                              float(h.min()) if accepted else math.inf,
                              float(h.max()) if accepted else 0.0,
-                             "numpy" if run is None else "c", reason))
+                             "numpy" if lib is None else "c", reason))
     return y, fail
 
 

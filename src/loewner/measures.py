@@ -88,12 +88,6 @@ class AtomicCircleMeasure:
     def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
         return abs(self.total_mass - 1.0) <= tol
 
-    def require_probability(self, tol: float = PROBABILITY_TOL) -> None:
-        if not self.is_probability(tol):
-            raise ValidationError(
-                f"probability mass != 1: total mass is {self.total_mass!r}"
-            )
-
     def mass_at(self, point: BoundaryPoint) -> float:
         return math.fsum(
             a.weight for a in self.atoms if a.position.gap(point) <= ANGLE_GAP
@@ -277,42 +271,6 @@ def _guard_poles(den) -> None:
             raise PoleError("evaluation point sits on a pole of the kernel")
     elif abs(den) < 1e-300:
         raise PoleError("evaluation point sits on a pole of the kernel")
-
-
-def herglotz_eval(mu: AtomicCircleMeasure, imag_const: float, z):
-    """sum_j w_j (sigma_j + z)/(sigma_j - z) + i*imag_const.
-
-    Has nonnegative real part on the disk; the imaginary constant
-    realizes the Im p(0) degree of freedom.
-    """
-    acc = 1j * float(imag_const)
-    if isinstance(z, np.ndarray):
-        acc = acc + np.zeros_like(z)
-    for a in mu.atoms:
-        s = a.position.value
-        den = s - z
-        _guard_poles(den)
-        acc = acc + a.weight * (s + z) / den
-    return acc
-
-
-def corollary_q_eval(nu: AtomicCircleMeasure, z):
-    """sum_j w_j (1 - kappa_j)/(1 + kappa_j z) for a probability measure
-    charging nothing at angle 0."""
-    nu.require_probability()
-    origin = BoundaryPoint(0.0)
-    for a in nu.atoms:
-        if a.position.gap(origin) <= ANGLE_GAP:
-            raise ValidationError("measure must exclude the point at angle 0")
-    acc = 0j
-    if isinstance(z, np.ndarray):
-        acc = np.zeros_like(z)
-    for a in nu.atoms:
-        k = a.position.value
-        den = 1.0 + k * z
-        _guard_poles(den)
-        acc = acc + a.weight * (1.0 - k) / den
-    return acc
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from loewner import (
     BoundaryPoint,
     RealAtomicMeasure,
     angular_derivative,
-    build_automorphism,
     build_three_brfp_map,
     check_arc_length,
     check_half_plane_julia,
@@ -24,7 +23,7 @@ from loewner import (
     normalize_fix_origin,
     rk4_oracle,
 )
-from loewner.grids import disk_grid_64, disk_grid_100, upper_half_plane_grid
+from loewner.grids import disk_grid_100, upper_half_plane_grid
 from conftest import (
     corollary_delta,
     example_three_atoms,
@@ -34,6 +33,7 @@ from conftest import (
     radial_field,
     two_segment_field,
 )
+from reference import build_automorphism, disk_grid_64
 
 PI = math.pi
 ONE = BoundaryPoint(0.0)

@@ -24,9 +24,7 @@ from loewner import (
     angular_derivative,
     build_three_brfp_map,
     circle_measure,
-    corollary_q_eval,
     field_from_dict,
-    herglotz_eval,
     null_quotient,
     pseudo_hyperbolic_distance,
 )
@@ -38,6 +36,7 @@ from conftest import (
     radial_field,
     two_segment_field,
 )
+from reference import corollary_q_eval, herglotz_eval
 
 PI = math.pi
 TARGETS = (BoundaryPoint(PI / 2), BoundaryPoint(3 * PI / 2), BoundaryPoint(0.0))

@@ -17,7 +17,7 @@ from loewner import (
     pseudo_hyperbolic_distance,
     rk4_oracle,
 )
-from loewner.grids import disk_grid_64, random_interior_pairs
+from loewner.grids import random_interior_pairs
 from conftest import (
     corollary_delta,
     example_three_atoms,
@@ -27,6 +27,7 @@ from conftest import (
     radial_field,
     two_segment_field,
 )
+from reference import disk_grid_64
 
 PI = math.pi
 

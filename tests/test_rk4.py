@@ -1,5 +1,8 @@
-"""The compiled RK4 window against the numpy loop, and the solver counters."""
+"""The compiled RK4 and Dormand-Prince windows against the numpy loops,
+and the solver counters."""
 
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -17,14 +20,16 @@ from loewner import (
     MeasureSchedule,
     ReciprocalField,
     ScheduleSegment,
+    SolverStats,
     circle_measure,
     evolve,
     evolve_on_circle,
     rk4_oracle,
 )
 from loewner import _rk4
-from loewner.generators import kernel_probe_fields
-from loewner.integrate import collect_stats
+from loewner.config import parse_config
+from loewner.generators import KernelData, kernel_probe_fields
+from loewner.integrate import DEFAULT_TOL, collect_stats
 from conftest import corollary_delta, parabolic_field, radial_field, two_segment_field
 
 PI = math.pi
@@ -109,6 +114,173 @@ def test_leaving_the_disk_fails_alike(monkeypatch, state):
     if state == "scalar":
         assert fast.value.w == pytest.approx(0.5 * (1 - 5 + 12.5 - 125 / 6 + 625 / 24), rel=1e-15)
     assert (sink.stats.accepted, sink.stats.rejected_guard, sink.stats.fevals) == (0, 1, 4)
+    for err in (fast.value, slow.value):
+        assert (err.reason, err.window, err.last_h) == ("left_disk", (0.0, 3.0), 1.0)
+
+
+class KernelField:
+    """A duck-typed field whose callables carry ``kernel_data`` built
+    directly, outside the field classes' validation."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def breakpoints(self, s, t):
+        return []
+
+    def frozen_at(self, t):
+        return self.data.kernel()
+
+
+#: G = z: the flow z e^t leaves the disk at t = -log|z|
+OUTWARD = KernelField(KernelData("bp_const", 0j, -1.0 + 0j, ()))
+#: the term -1/(1 + 2z) puts a pole at z = -1/2 into the disk, and the
+#: flow from -0.2 runs into it at t = 0.32 with unbounded speed
+INTERIOR_POLE = KernelField(KernelData("corollary", 1.0 + 0j, 0j, ((2.0 + 0j, -1.0 + 0j),)))
+
+
+def _bits(rows):
+    return (np.array([t for t, _ in rows]).tobytes(),
+            np.array([w for _, w in rows], dtype=complex).tobytes())
+
+
+def _counts(stats):
+    return dataclasses.replace(stats, dp_backend="", dp_fallback="")
+
+
+def _evolve_both(monkeypatch, fld, t1, z, record):
+    """(result, rows, stats) of evolve on the compiled path, then on numpy."""
+    runs = []
+    for forced in (False, True):
+        if forced:
+            on_numpy(monkeypatch)
+        rows = [] if record else None
+        with collect_stats() as sink:
+            try:
+                result = evolve(fld, 0.0, t1, z, record=rows)
+            except IntegrationError as exc:
+                result = exc
+        runs.append((result, rows, sink.stats))
+    (fast, fast_rows, fast_stats), (slow, slow_rows, slow_stats) = runs
+    assert fast_stats.dp_backend == "c" and fast_stats.dp_fallback == ""
+    assert slow_stats.dp_backend == "numpy"
+    assert slow_stats.dp_fallback == "numpy path forced by the test"
+    assert _counts(fast_stats) == _counts(slow_stats)
+    if record:
+        assert _bits(fast_rows) == _bits(slow_rows)
+    return runs
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("state", STATES)
+def test_compiled_dp_window_matches_numpy_to_the_bit(monkeypatch, name, state):
+    require_compiled()
+    fld, t1 = FIELDS[name]
+    z = STATES[state]
+    (fast, rows, stats), (slow, _, _) = _evolve_both(monkeypatch, fld, t1, z,
+                                                     record=state == "scalar")
+    assert type(fast) is type(slow) and np.shape(fast) == np.shape(z)
+    assert np.array_equal(fast, slow)
+    assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
+    assert stats.windows == 1 + len(fld.breakpoints(0.0, t1))
+    assert stats.fevals == stats.windows + 6 * (
+        stats.accepted + stats.rejected_error + stats.rejected_guard)
+    if rows is not None:
+        assert len(rows) == 1 + stats.accepted and rows[-1][0] == t1
+
+
+def test_a_long_window_refills_the_rows_buffer(monkeypatch):
+    """About 300 steps of at most max_step = 0.1 in one window: the
+    compiled window returns with a full buffer and continues."""
+    require_compiled()
+    fld, _ = FIELDS["reciprocal"]
+    (fast, rows, stats), (slow, _, _) = _evolve_both(monkeypatch, fld, 30.0, 0.6 - 0.3j,
+                                                     record=True)
+    assert stats.windows == 1 and stats.accepted > _rk4._ROWS
+    assert fast == slow and len(rows) == 1 + stats.accepted and rows[-1][0] == 30.0
+
+
+@pytest.mark.parametrize("fld, z, reason", [(OUTWARD, 0.5 + 0j, "boundary_guard"),
+                                            (INTERIOR_POLE, -0.2 + 0j, "step_underflow")],
+                         ids=["boundary-guard", "step-underflow"])
+def test_failures_are_alike(monkeypatch, fld, z, reason):
+    require_compiled()
+    (fast, rows, stats), (slow, _, _) = _evolve_both(monkeypatch, fld, 1.0, z, record=True)
+    assert isinstance(fast, IntegrationError) and isinstance(slow, IntegrationError)
+    assert str(fast) == str(slow)
+    assert (fast.t, fast.reason, fast.window, fast.last_h) == (
+        slow.t, slow.reason, slow.window, slow.last_h)
+    assert np.asarray(fast.w).tobytes() == np.asarray(slow.w).tobytes()
+    assert fast.reason == reason and fast.window == (0.0, 1.0)
+    # the guard's last h is the last step it rejected: halving it underflows
+    assert fast.last_h < (2 if reason == "boundary_guard" else 1) * DEFAULT_TOL.min_step
+    assert rows[-1] == (fast.t, fast.w) and len(rows) == 1 + stats.accepted
+    if reason == "boundary_guard":
+        # G = z carries 0.5 onto the circle at t = log 2
+        assert fast.t == pytest.approx(math.log(2.0), abs=1e-9)
+        assert stats.rejected_guard > 0 and str(fast).startswith(
+            f"boundary guard rejected every step from t = {fast.t} in window [0.0, 1.0]")
+    else:
+        assert fast.t == pytest.approx(0.3069, abs=1e-4)
+        assert stats.rejected_error > 0 and stats.rejected_guard == 0
+        assert str(fast) == f"step size underflow at t = {fast.t}"
+
+
+#: the field of the seed-1 simulate_grid bench config: a three-segment
+#: berkson_porta schedule with tau = -1 and an imaginary constant
+SIMULATE_GRID_SEED_1 = {
+    "kind": "berkson_porta", "tau": {"angle": 3.141592653589793}, "p": {"schedule": {"segments": [
+        {"t0": 0.0, "t1": 0.6666666666666666, "measure": {"atoms": [
+            {"angle": 0.4797406135573414, "weight": 0.525859905342743},
+            {"angle": 2.659298966833753, "weight": 0.5351999782946881},
+            {"angle": 4.676368374282885, "weight": 0.4516892975556619}], "excluded_angle": None}},
+        {"t0": 0.6666666666666666, "t1": 1.3333333333333333, "measure": {"atoms": [
+            {"angle": 1.1897447546340594, "weight": 0.46659606734991566},
+            {"angle": 3.2867206152749637, "weight": 0.5118591368057427},
+            {"angle": 5.293696062685406, "weight": 0.5054685695074572}], "excluded_angle": None}},
+        {"t0": 1.3333333333333333, "t1": 2.0, "measure": {"atoms": [
+            {"angle": 1.7445074763104658, "weight": 0.549799623404675},
+            {"angle": 3.9000730879951795, "weight": 0.5329646573039201},
+            {"angle": 5.919709629678626, "weight": 0.46864938570613457}], "excluded_angle": None}},
+    ]}, "imag_const": 0.29778501563267246}}
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+def test_simulate_grid_step_budget(monkeypatch, backend):
+    """Every fourth point of the seed-1 simulate_grid config, integrated as
+    ``simulate`` does: the solver's work is pinned on both backends."""
+    if backend == "c":
+        require_compiled()
+    else:
+        on_numpy(monkeypatch)
+    cfg = parse_config(json.dumps({
+        "field": SIMULATE_GRID_SEED_1,
+        "integration": {"t0": 0.0, "t1": 2.0, "rel_tol": 1e-10, "abs_tol": 1e-12},
+        "grid": {"kind": "polar", "radii": [0.2, 0.4, 0.6, 0.8], "angles": 32},
+        "checks": []}))
+    with collect_stats() as sink:
+        for z in cfg.grid.points()[::4]:
+            evolve(cfg.field, 0.0, 2.0, complex(z), cfg.integration.tolerances(), record=[])
+    assert sink.stats == SolverStats(96, 2743, 112, 1, 17232, 0.0014839021926233368, 0.1,
+                                     dp_backend=backend, dp_fallback=sink.stats.dp_fallback)
+
+
+def test_opaque_callables_run_on_numpy():
+    """The boundary flow's field raises NotTangentError from inside, so it
+    stays on numpy; its run into the pole of q at z = i (angles 1.0 and
+    2.0) fails as a step underflow."""
+    fld = corollary_delta(PI / 2)
+    with collect_stats() as sink:
+        evolve_on_circle(fld, 0.0, 1.0, np.array([3.0, 4.0]))
+    assert (sink.stats.dp_backend, sink.stats.dp_fallback) == (
+        "numpy", "field callable carries no kernel data")
+    for angle, t in ((1.0, 0.2259), (2.0, 0.0851)):
+        with pytest.raises(IntegrationError) as info:
+            evolve_on_circle(fld, 0.0, 1.0, angle)
+        err = info.value
+        assert err.reason == "step_underflow" and err.window == (0.0, 1.0)
+        assert str(err) == f"step size underflow at t = {err.t}"
+        assert err.t == pytest.approx(t, abs=1e-4) and err.last_h < DEFAULT_TOL.min_step
 
 
 def test_fallback_without_compiler(monkeypatch, tmp_path):
