@@ -21,10 +21,11 @@ from pathlib import Path
 
 from .boundary import dilation_curve
 from .checks import emit_report, run_verify
-from .config import RunConfig, parse_config
+from .config import RunConfig, check_schedule_end, parse_config
 from .disk import BoundaryPoint
 from .errors import ConfigError, IntegrationError, LoewnerError
 from .integrate import evolve
+from .measures import read_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -38,12 +39,6 @@ def _load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     return parse_config(raw)
-
-
-def _write_rows(fh, rows, z_index: int | None = None) -> None:
-    for t, w in rows:
-        prefix = "" if z_index is None else f"{z_index},"
-        fh.write(f"{prefix}{t:.17g},{w.real:.17g},{w.imag:.17g}\n")
 
 
 def _cmd_simulate(args) -> int:
@@ -61,42 +56,38 @@ def _cmd_simulate(args) -> int:
         if path.suffix != ".csv":  # directory given: use a default file name
             path = path / "trajectory.csv"
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write("z_index,t,w_re,w_im\n")
-            for i, z in enumerate(grid):
-                rows: list = []
-                try:
-                    evolve(config.field, s, t, complex(z), tol, record=rows)
-                except IntegrationError as exc:
-                    _write_rows(fh, rows, i)
-                    fh.write(f"# FAILED t={exc.t:.17g}\n")
-                    print(f"integration failed for grid point {i} at t={exc.t}",
-                          file=sys.stderr)
-                    return EXIT_RUNTIME_FAILURE
-                _write_rows(fh, rows, i)
-        print(f"wrote {path}")
-        return EXIT_OK
+        path.write_text("z_index,t,w_re,w_im\n")
+        done = f"wrote {path}"
 
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        def rows_file(i):
+            return open(path, "a"), f"{i},"
+    else:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        done = f"wrote {grid.size} trajectories to {out_dir}"
+
+        def rows_file(i):
+            fh = open(out_dir / f"trajectory_z{i:03d}.csv", "w")
+            fh.write("t,w_re,w_im\n")
+            return fh, ""
+
     for i, z in enumerate(grid):
-        path = out_dir / f"trajectory_z{i:03d}.csv"
         rows = []
         failed_at = None
         try:
             evolve(config.field, s, t, complex(z), tol, record=rows)
         except IntegrationError as exc:
             failed_at = exc.t
-        with open(path, "w") as fh:
-            fh.write("t,w_re,w_im\n")
-            _write_rows(fh, rows)
+        fh, prefix = rows_file(i)
+        with fh:
+            for u, w in rows:
+                fh.write(f"{prefix}{u:.17g},{w.real:.17g},{w.imag:.17g}\n")
             if failed_at is not None:
                 fh.write(f"# FAILED t={failed_at:.17g}\n")
         if failed_at is not None:
-            print(f"integration failed for grid point {i} at t={failed_at}",
-                  file=sys.stderr)
+            print(f"integration failed for grid point {i} at t={failed_at}", file=sys.stderr)
             return EXIT_RUNTIME_FAILURE
-    print(f"wrote {grid.size} trajectories to {out_dir}")
+    print(done)
     return EXIT_OK
 
 
@@ -119,15 +110,22 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
 
 
+def _number_argument(text: str, name: str) -> float:
+    """A command-line number, read by the config reader's number rule."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {text!r}", pointer=name) from None
+    return read_value(value, float, name)
+
+
 def _cmd_derivative(args) -> int:
     config = _load_config(args.config)
-    try:
-        times = [float(v) for v in args.times.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --times list: {exc}")
-    if not times:
-        raise ConfigError("--times must list at least one time")
-    sigma = BoundaryPoint(float(args.sigma))
+    times = [_number_argument(v, "--times") for v in args.times.split(",") if v.strip()]
+    if not times or times[0] < 0.0 or any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError("need one or more increasing times >= 0", pointer="--times")
+    read_value(times[-1], float, "--times", lambda t: check_schedule_end(config.field, t, "t"))
+    sigma = BoundaryPoint(_number_argument(args.sigma, "--sigma"))
     curve = dilation_curve(config.field, sigma, times, config.integration.tolerances())
     print("t,dilation")
     for t, v in curve:

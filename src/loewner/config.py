@@ -1,16 +1,19 @@
 """Run configuration: JSON parsing with pointer-qualified diagnostics.
 
-Syntax errors report the byte offset; semantic errors report a JSON
-pointer to the offending member.  All structural invariants of the
-field, grid and fixed-point data are enforced here so the rest of the
-pipeline can assume a valid configuration.
+Syntax errors report the byte offset; every other error reports the JSON
+pointer of the member at fault.  ``parse_config`` reads each object with
+the reader of ``measures``, so an unknown member, or a second form of
+``tau`` or ``p``, is an error too.  The value types built from the
+members enforce their invariants, which the reader reports at the
+member's pointer, so the rest of the pipeline can assume a valid
+configuration.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from .errors import ConfigError, DomainError, ValidationError
 from .generators import FieldSpec, field_from_dict
 from .grids import polar_grid
 from .integrate import ToleranceSettings
-from .measures import json_member, json_number as _number
+from .measures import JsonObject
 
 ROLE_BRFP = "brfp"
 ROLE_DW = "dw"
@@ -38,6 +41,11 @@ class IntegrationWindow:
     t1: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.t0 <= self.t1:
+            raise ValidationError("need 0 <= t0 <= t1")
+        self.tolerances()  # ToleranceSettings rejects a tolerance that is not positive
 
     def tolerances(self) -> ToleranceSettings:
         return ToleranceSettings(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
@@ -80,30 +88,13 @@ class RunConfig:
     def to_dict(self) -> dict:
         d = {
             "field": self.field.to_dict(),
-            "integration": {
-                "t0": self.integration.t0,
-                "t1": self.integration.t1,
-                "rel_tol": self.integration.rel_tol,
-                "abs_tol": self.integration.abs_tol,
-            },
-            "grid": {
-                "kind": self.grid.kind,
-                "radii": list(self.grid.radii),
-                "angles": self.grid.angles,
-            },
+            "integration": asdict(self.integration),
+            "grid": asdict(self.grid),
             "checks": list(self.checks),
-            "fixed_points": [
-                {"angle": fp.point.angle, "expected_role": fp.role}
-                for fp in self.fixed_points
-            ],
+            "fixed_points": [{"angle": fp.point.angle, "expected_role": fp.role}
+                             for fp in self.fixed_points],
         }
-        out = {}
-        if self.output.trajectory_csv is not None:
-            out["trajectory_csv"] = self.output.trajectory_csv
-        if self.output.report_json is not None:
-            out["report_json"] = self.output.report_json
-        if self.output.combined:
-            out["combined"] = True
+        out = {k: v for k, v in asdict(self.output).items() if v is not None and v is not False}
         if out:
             d["output"] = out
         if self.tolerances:
@@ -119,25 +110,17 @@ def emit_config(config: RunConfig) -> bytes:
     ).encode()
 
 
-def _require(cond: bool, msg: str, ptr: str) -> None:
-    if not cond:
-        raise ConfigError(msg, pointer=ptr)
-
-
-def _bool(v, ptr: str) -> bool:
-    _require(isinstance(v, bool), "expected true or false", ptr)
-    return v
-
-
-class _NonFinite:
-    """What the reader makes of the JSON extensions NaN, Infinity and
-    -Infinity: a value no member accepts, so the error names its pointer."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def __repr__(self) -> str:
-        return self.text
+def check_schedule_end(spec: FieldSpec, t: float, name: str) -> float:
+    """``t`` if the field is defined on [0, t), as it is for t <= 0; a
+    schedule that ends before ``t`` with ``hold_last`` off raises
+    ValidationError, naming the time ``name``."""
+    try:  # segments are right-open: the last time that matters lies just below t
+        spec.frozen_at(math.nextafter(max(t, 0.0), 0.0))
+    except DomainError:
+        end = spec.breakpoints(0.0, t)[-1]
+        raise ValidationError(f"{name} = {t!r} is past the schedule end {end!r} "
+                              "and hold_last is off") from None
+    return t
 
 
 def parse_config(text: bytes | str) -> RunConfig:
@@ -147,112 +130,86 @@ def parse_config(text: bytes | str) -> RunConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8: {exc}", byte_offset=exc.start)
     try:
-        data = json.loads(text, parse_constant=_NonFinite)
+        data = json.loads(text)  # NaN and Infinity read as floats the number rule rejects
     except json.JSONDecodeError as exc:
         raise ConfigError(f"JSON syntax error: {exc.msg}", byte_offset=exc.pos)
-    _require(isinstance(data, dict), "top-level value must be an object", "/")
-
-    skip_validation = _bool(data.get("skip_field_validation", False), "/skip_field_validation")
-    field_dict = json_member(data, "field", "")
-    _require(isinstance(field_dict, dict), "field must be an object", "/field")
-    try:
-        spec = field_from_dict(field_dict, validate=not skip_validation, ptr="/field")
-    except (ValidationError, TypeError) as exc:
-        raise ConfigError(str(exc), pointer="/field")
-
-    integ = json_member(data, "integration", "")
-    _require(isinstance(integ, dict), "integration must be an object", "/integration")
-    t0 = _number(json_member(integ, "t0", "/integration"), "/integration/t0")
-    t1 = _number(json_member(integ, "t1", "/integration"), "/integration/t1")
-    _require(0.0 <= t0 <= t1, "need 0 <= t0 <= t1", "/integration")
-    try:
-        # the field must be defined on [t0, t1); schedule segments are
-        # right-open, so the last time that matters lies just below t1
-        spec.frozen_at(math.nextafter(t1, 0.0))
-    except DomainError:
-        end = spec.breakpoints(0.0, t1)[-1]
-        raise ConfigError(f"t1 = {t1!r} is past the schedule end {end!r} and hold_last is off",
-                          pointer="/integration/t1")
-    rel = _number(integ.get("rel_tol", 1e-10), "/integration/rel_tol")
-    abs_ = _number(integ.get("abs_tol", 1e-12), "/integration/abs_tol")
-    _require(rel > 0.0 and abs_ > 0.0, "tolerances must be positive", "/integration")
-    window = IntegrationWindow(t0, t1, rel, abs_)
-
-    grid_d = json_member(data, "grid", "")
-    _require(isinstance(grid_d, dict), "grid must be an object", "/grid")
-    kind = json_member(grid_d, "kind", "/grid")
-    _require(kind == "polar", f"unsupported grid kind {kind!r}", "/grid/kind")
-    radii_raw = json_member(grid_d, "radii", "/grid")
-    _require(isinstance(radii_raw, list) and radii_raw, "radii must be a non-empty list", "/grid/radii")
-    radii = tuple(_number(r, f"/grid/radii/{i}") for i, r in enumerate(radii_raw))
-    for i, r in enumerate(radii):
-        _require(0.0 < r < 1.0, "grid radii must lie in (0, 1)", f"/grid/radii/{i}")
-    angles = json_member(grid_d, "angles", "/grid")
-    _require(isinstance(angles, int) and not isinstance(angles, bool) and angles > 0,
-             "angles must be a positive integer", "/grid/angles")
-    _require(len(radii) * angles <= MAX_GRID_POINTS,
-             f"grid of {len(radii)} radii x {angles} angles exceeds {MAX_GRID_POINTS} points",
-             "/grid/angles")
-    grid = GridSpec(kind, radii, angles)
-
-    checks_raw = json_member(data, "checks", "")
-    _require(isinstance(checks_raw, list), "checks must be a list", "/checks")
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
+        raise ConfigError(f"JSON value out of range: {exc}")
     from .checks import CHECK_NAMES  # deferred: checks imports this module
 
-    checks = []
-    for i, name in enumerate(checks_raw):
-        if not isinstance(name, str) or name not in CHECK_NAMES:
-            raise ConfigError(
-                f"unknown check {name!r}; registered checks: {', '.join(sorted(CHECK_NAMES))}",
-                pointer=f"/checks/{i}",
-            )
-        checks.append(name)
-
-    fps_raw = data.get("fixed_points", [])
-    _require(isinstance(fps_raw, list), "fixed_points must be a list", "/fixed_points")
-    fps = []
-    for i, fp in enumerate(fps_raw):
-        ptr = f"/fixed_points/{i}"
-        _require(isinstance(fp, dict), "fixed point must be an object", ptr)
-        angle = _number(json_member(fp, "angle", ptr), f"{ptr}/angle")
-        role = json_member(fp, "expected_role", ptr)
-        _require(role in (ROLE_BRFP, ROLE_DW), "expected_role must be 'brfp' or 'dw'", f"{ptr}/expected_role")
-        fps.append(FixedPointSpec(BoundaryPoint(angle), role))
-    if not skip_validation:
-        _check_fixed_points(spec, fps)
-
-    out_d = data.get("output", {})
-    _require(isinstance(out_d, dict), "output must be an object", "/output")
-    for key in ("trajectory_csv", "report_json"):
-        path = out_d.get(key)
-        _require(path is None or isinstance(path, str), "expected a path string", f"/output/{key}")
-    output = OutputSpec(
-        trajectory_csv=out_d.get("trajectory_csv"),
-        report_json=out_d.get("report_json"),
-        combined=_bool(out_d.get("combined", False), "/output/combined"),
-    )
-
-    tols_raw = data.get("tolerances", {})
-    _require(isinstance(tols_raw, dict), "tolerances must be an object", "/tolerances")
-    tols = {}
-    for name, v in tols_raw.items():
-        _require(name in CHECK_NAMES, f"tolerance for unknown check {name!r}", f"/tolerances/{name}")
-        tols[name] = _number(v, f"/tolerances/{name}")
-
-    return RunConfig(spec, window, grid, tuple(checks), tuple(fps), output, tols,
-                     skip_validation)
+    with JsonObject(data, "") as r:
+        skip = r.read("skip_field_validation", bool, default=False)
+        spec = r.read("field", dict, lambda d, ptr: field_from_dict(d, not skip, ptr))
+        window = r.read("integration", dict, lambda d, ptr: _window(d, ptr, spec))
+        grid = r.read("grid", dict, _grid)
+        checks = r.items("checks", str, _rule(CHECK_NAMES.__contains__, (
+            "unknown check {!r}; registered checks: " + ", ".join(sorted(CHECK_NAMES)))))
+        fps = r.items("fixed_points", dict, lambda d, ptr: _fixed_point(d, ptr, spec, skip),
+                      default=())
+        output = r.read("output", dict, _output, default=OutputSpec())
+        tols = r.read("tolerances", dict, lambda d, ptr: _tolerances(d, ptr, CHECK_NAMES),
+                      default={})
+        return RunConfig(spec, window, grid, tuple(checks), tuple(fps), output, tols, skip)
 
 
-def _check_fixed_points(spec: FieldSpec, fps: list[FixedPointSpec]) -> None:
-    """A brfp must sit at one of the field's prescribed null points and a
-    dw at its Denjoy-Wolff point on the circle."""
-    for i, fp in enumerate(fps):
-        ptr = f"/fixed_points/{i}"
+def _rule(ok, message: str):
+    """A build that keeps a value ``ok`` accepts and rejects any other
+    with ``message``, formatted with the value."""
+    def build(v):
+        if not ok(v):
+            raise ValidationError(message.format(v))
+        return v
+    return build
+
+
+def _window(d: dict, ptr: str, spec: FieldSpec) -> IntegrationWindow:
+    with JsonObject(d, ptr) as r:
+        t0 = r.read("t0", float)
+        t1 = r.read("t1", float, lambda t: check_schedule_end(spec, t, "t1"))
+        return IntegrationWindow(t0, t1, r.read("rel_tol", float, default=1e-10),
+                                 r.read("abs_tol", float, default=1e-12))
+
+
+def _grid(d: dict, ptr: str) -> GridSpec:
+    with JsonObject(d, ptr) as r:
+        kind = r.read("kind", str, _rule("polar".__eq__, "unsupported grid kind {!r}"))
+        radii = tuple(r.items("radii", float, _rule(
+            lambda x: 0.0 < x < 1.0, "grid radii must lie in (0, 1)")))
+        if not radii:
+            raise ConfigError("radii must be a non-empty list", pointer=r.pointer("radii"))
+        return GridSpec(kind, radii, r.read("angles", int, _rule(
+            lambda n: 0 < n <= MAX_GRID_POINTS // len(radii),
+            f"{len(radii)} radii x {{}} angles is not in 1..{MAX_GRID_POINTS} points")))
+
+
+def _fixed_point(d: dict, ptr: str, spec: FieldSpec, skip_validation: bool) -> FixedPointSpec:
+    """A fixed point; unless validation is skipped, a brfp must sit at one
+    of the field's prescribed null points and a dw at its Denjoy-Wolff
+    point on the circle."""
+    with JsonObject(d, ptr) as r:
+        fp = FixedPointSpec(BoundaryPoint(r.read("angle", float)), r.read(
+            "expected_role", str, _rule((ROLE_BRFP, ROLE_DW).__contains__,
+                                        "expected_role must be 'brfp' or 'dw'")))
+        if skip_validation:
+            return fp
         if fp.role == ROLE_BRFP:
-            _require(any(fp.point.gap(p) <= _MATCH_TOL for p in spec.null_points),
-                     "brfp angle does not match any prescribed sigma", ptr)
-        else:
-            _require(abs(abs(spec.tau) - 1.0) <= 1e-9,
-                     "field has an interior DW point; it cannot be listed by angle", ptr)
-            _require(fp.point.gap(BoundaryPoint.from_complex(spec.tau)) <= _MATCH_TOL,
-                     "dw angle does not match tau", ptr)
+            if not any(fp.point.gap(p) <= _MATCH_TOL for p in spec.null_points):
+                raise ValidationError("brfp angle does not match any prescribed sigma")
+        elif abs(abs(spec.tau) - 1.0) > 1e-9:
+            raise ValidationError("field has an interior DW point; it cannot be listed by angle")
+        elif fp.point.gap(BoundaryPoint.from_complex(spec.tau)) > _MATCH_TOL:
+            raise ValidationError("dw angle does not match tau")
+        return fp
+
+
+def _output(d: dict, ptr: str) -> OutputSpec:
+    with JsonObject(d, ptr) as r:
+        return OutputSpec(r.read("trajectory_csv", str, default=None),
+                          r.read("report_json", str, default=None),
+                          r.read("combined", bool, default=False))
+
+
+def _tolerances(d: dict, ptr: str, names) -> dict:
+    """Tolerance overrides by check name; any other name is unknown."""
+    with JsonObject(d, ptr) as r:
+        return {name: r.read(name, float) for name in d if name in names}

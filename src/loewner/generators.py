@@ -47,14 +47,12 @@ from .errors import ConfigError, DomainError, InfeasibleError, ValidationError
 from .extrapolate import default_radii, richardson
 from .measures import (
     AtomicCircleMeasure,
+    JsonObject,
     MeasureSchedule,
     NevanlinnaRep,
     RealAtomicMeasure,
     ScheduleSegment,
-    at_pointer,
     circle_measure,
-    json_member,
-    json_number,
     nevanlinna_eval,
 )
 
@@ -231,6 +229,8 @@ class BerksonPortaField:
             raise ValidationError("give exactly one of p_const, p_measure, p_schedule")
         if self.p_const is not None:
             object.__setattr__(self, "p_const", _require_p_const(self.p_const))
+            if self.imag_const != 0.0:
+                raise ValidationError("imag_const needs p_measure or p_schedule")
         if self.p_measure is not None:
             _tau_clear_of_atoms(self.tau, (a.position for a in self.p_measure.atoms))
         if self.p_schedule is not None:
@@ -415,65 +415,57 @@ def _tau_to_dict(tau: complex) -> dict:
 
 
 def _tau_from_dict(d: dict, ptr: str) -> complex:
-    if "angle" in d:
-        return BoundaryPoint(json_number(d["angle"], f"{ptr}/angle")).value
-    return at_pointer(ptr, _require_tau, complex(
-        json_number(json_member(d, "re", ptr), f"{ptr}/re"),
-        json_number(json_member(d, "im", ptr), f"{ptr}/im")))
+    """tau is ``{angle}`` on the circle or ``{re, im}`` in the closed disk."""
+    with JsonObject(d, ptr) as r:
+        if "angle" in r:
+            return BoundaryPoint(r.read("angle", float)).value
+        return _require_tau(complex(r.read("re", float), r.read("im", float)))
+
+
+def _p_from_dict(d: dict, ptr: str) -> dict:
+    """The ``BerksonPortaField`` keywords of p: exactly one of
+    ``{const_re[, const_im]}``, ``{measure[, imag_const]}`` and
+    ``{schedule[, imag_const]}``; a member of a second form is unknown."""
+    with JsonObject(d, ptr) as r:
+        if "const_re" in r:
+            re = r.read("const_re", float, _require_p_const).real
+            return {"p_const": complex(re, r.read("const_im", float, default=0.0))}
+        for name, reader in (("measure", AtomicCircleMeasure.from_dict),
+                             ("schedule", MeasureSchedule.from_dict)):
+            if name in r:
+                return {f"p_{name}": r.read(name, dict, reader),
+                        "imag_const": r.read("imag_const", float, default=0.0)}
+        raise ValidationError("p must give const_re, measure or schedule")
+
+
+def _reciprocal_entry(d: dict, ptr: str) -> tuple[BoundaryPoint, float]:
+    with JsonObject(d, ptr) as r:
+        alpha = r.read("alpha", float, _require_alpha)
+        return BoundaryPoint(r.read("angle", float)), alpha
 
 
 def field_from_dict(d: dict, validate: bool = True, ptr: str = "") -> FieldSpec:
-    """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``, so a
-    member that is missing, not a finite number or out of range, a
-    malformed schedule and a corollary segment that breaks the corollary
-    rule raise ConfigError where they sit.  ``validate=False`` skips the
-    corollary rule."""
-    kind = json_member(d, "kind", ptr)
-    if kind == "berkson_porta":
-        _forbid(d, ("data", "schedule"))
-        p, pp = json_member(d, "p", ptr), f"{ptr}/p"
-        tau = _tau_from_dict(json_member(d, "tau", ptr), f"{ptr}/tau")
-        if "const_re" in p:
-            const = complex(json_number(json_member(p, "const_re", pp), f"{pp}/const_re"),
-                            json_number(p.get("const_im", 0.0), f"{pp}/const_im"))
-            return BerksonPortaField(
-                tau, p_const=at_pointer(f"{pp}/const_re", _require_p_const, const))
-        if "measure" in p:
-            return BerksonPortaField(
-                tau,
-                p_measure=AtomicCircleMeasure.from_dict(p["measure"], f"{pp}/measure"),
-                imag_const=json_number(p.get("imag_const", 0.0), f"{pp}/imag_const"),
-            )
-        if "schedule" in p:
-            return BerksonPortaField(
-                tau,
-                p_schedule=MeasureSchedule.from_dict(p["schedule"], f"{pp}/schedule"),
-                imag_const=json_number(p.get("imag_const", 0.0), f"{pp}/imag_const"),
-            )
-        raise ValidationError("berkson_porta payload p must give const, measure or schedule")
-    if kind == "reciprocal":
-        _forbid(d, ("p", "schedule"))
-        data = []
-        for i, e in enumerate(json_member(d, "data", ptr)):
-            ep = f"{ptr}/data/{i}"
-            alpha = json_number(json_member(e, "alpha", ep), f"{ep}/alpha")
-            data.append((BoundaryPoint(json_number(json_member(e, "angle", ep), f"{ep}/angle")),
-                         at_pointer(f"{ep}/alpha", _require_alpha, alpha)))
-        return ReciprocalField(_tau_from_dict(json_member(d, "tau", ptr), f"{ptr}/tau"), data)
-    if kind == "corollary":
-        _forbid(d, ("p", "data", "tau"))
-        sched = MeasureSchedule.from_dict(json_member(d, "schedule", ptr), f"{ptr}/schedule")
-        fault = _corollary_segment_fault(sched) if validate else None
-        if fault is not None:
-            raise ConfigError(fault[1], pointer=f"{ptr}/schedule/segments/{fault[0]}/measure")
-        return CorollaryField(sched, check=False)
-    raise ValidationError(f"unknown field kind {kind!r}")
-
-
-def _forbid(d: dict, keys) -> None:
-    for k in keys:
-        if k in d:
-            raise ValidationError(f"field payload {k!r} does not belong to kind {d['kind']!r}")
+    """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``.  A
+    member that is missing, unknown, of the wrong JSON type or out of
+    range, a malformed schedule and a corollary segment that breaks the
+    corollary rule raise ConfigError where they sit.  ``validate=False``
+    skips the corollary rule."""
+    with JsonObject(d, ptr) as r:
+        kind = r.read("kind", str)
+        if kind == "berkson_porta":
+            p = r.read("p", dict, _p_from_dict)
+            return BerksonPortaField(r.read("tau", dict, _tau_from_dict), **p)
+        if kind == "reciprocal":
+            data = r.items("data", dict, _reciprocal_entry)
+            return ReciprocalField(r.read("tau", dict, _tau_from_dict), data)
+        if kind == "corollary":
+            sched = r.read("schedule", dict, MeasureSchedule.from_dict)
+            fault = _corollary_segment_fault(sched) if validate else None
+            if fault is not None:
+                raise ConfigError(fault[1], pointer=(
+                    f"{r.pointer('schedule')}/segments/{fault[0]}/measure"))
+            return CorollaryField(sched, check=False)
+        raise ConfigError(f"unknown field kind {kind!r}", pointer=r.pointer("kind"))
 
 
 @dataclass(frozen=True)

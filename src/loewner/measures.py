@@ -1,6 +1,12 @@
 """Atomic measures on the circle and the real line, time schedules, and
 the integral transforms they induce (Herglotz kernels on the disk,
-Nevanlinna kernels on a half-plane)."""
+Nevanlinna kernels on a half-plane).
+
+It also holds the reader every config object goes through: a
+``JsonObject`` takes each member once, by name, at its own JSON pointer;
+``read_value`` applies the member's type rule and turns a ValidationError
+from the value type built from it into a ConfigError at that pointer;
+and a member that nobody read is an error."""
 
 from __future__ import annotations
 
@@ -15,35 +21,85 @@ from .errors import ConfigError, DomainError, PoleError, ValidationError
 PROBABILITY_TOL = 1e-12
 
 
-def json_number(v, ptr: str) -> float:
-    """A finite number read from JSON data; a bool, a string or any other
-    value raises ConfigError at the JSON pointer ``ptr``."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"expected a number, got {v!r}", pointer=ptr)
-    f = float(v)
-    if not math.isfinite(f):
-        raise ConfigError("number must be finite", pointer=ptr)
-    return f
+#: the reader's type rules, by the Python type a JSON value reads as
+_TYPES = {dict: "an object", list: "a list", float: "a number", int: "an integer",
+          str: "a string", bool: "true or false"}
+_REQUIRED = object()
 
 
-def json_member(d, key: str, ptr: str):
-    """``d[key]`` for the JSON object ``d`` at the pointer ``ptr``; a
-    missing member raises ConfigError at the member's own pointer, and a
-    ``d`` that is not an object raises it at ``ptr``."""
-    if not isinstance(d, dict):
-        raise ConfigError("expected an object", pointer=ptr)
-    if key not in d:
-        raise ConfigError(f"missing required member {key!r}", pointer=f"{ptr}/{key}")
-    return d[key]
+def _shown(v) -> str:
+    """``v`` as a message names it: a JSON literal, or the type of a container."""
+    if isinstance(v, (dict, list)):
+        return _TYPES[type(v)]
+    return "null" if v is None else str(v).lower() if isinstance(v, bool) else repr(v)
 
 
-def at_pointer(ptr: str, build, *args):
-    """``build(*args)``; a ValidationError it raises, a value out of range,
-    becomes a ConfigError at the JSON pointer ``ptr``."""
+def read_value(v, kind: type, ptr: str, build=None):
+    """``v``, the JSON value at the pointer ``ptr``, read as ``kind`` (a
+    key of ``_TYPES``; ``float`` takes a finite number that is not a bool)
+    and made a value type by ``build``.  An object's ``build`` reads it as
+    (value, pointer), as the ``from_dict`` methods do.  A value that breaks
+    the type rule, or a ValidationError from ``build``, raises ConfigError
+    at ``ptr``."""
+    if kind is dict:
+        return build(v, ptr)
+    if kind is float and isinstance(v, (int, float)) and not isinstance(v, bool):
+        if not abs(v) <= 1.7976931348623157e308:  # NaN, infinite, or an int past any float
+            raise ConfigError("number must be finite", pointer=ptr)
+        v = float(v)
+    elif not isinstance(v, kind) or (kind is int and isinstance(v, bool)):
+        raise ConfigError(f"expected {_TYPES[kind]}, got {_shown(v)}", pointer=ptr)
     try:
-        return build(*args)
+        return v if build is None else build(v)
     except ValidationError as exc:
         raise ConfigError(str(exc), pointer=ptr) from None
+
+
+class JsonObject:
+    """The JSON object ``value`` at the pointer ``ptr``, opened around the
+    code that reads its members and builds a value type from them.  A
+    ValidationError leaving the block becomes a ConfigError at ``ptr``;
+    leaving it without an error rejects the first member nobody read."""
+
+    def __init__(self, value, ptr: str):
+        if not isinstance(value, dict):
+            raise ConfigError(f"expected an object, got {_shown(value)}", pointer=ptr or "/")
+        self._members, self._ptr, self._unread = value, ptr, dict.fromkeys(value)
+
+    def __enter__(self) -> "JsonObject":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is None:
+            for name in self._unread:
+                raise ConfigError(f"unknown member {name!r}", pointer=self.pointer(name))
+        elif issubclass(kind, ValidationError):
+            raise ConfigError(str(exc), pointer=self._ptr or "/") from None
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._members
+
+    def pointer(self, name: str) -> str:
+        return f"{self._ptr}/" + name.replace("~", "~0").replace("/", "~1")
+
+    def read(self, name: str, kind: type, build=None, default=_REQUIRED):
+        """The member ``name``, read once, as ``read_value`` reads a value.
+        Absent, it reads as ``default``, or is an error if there is none;
+        null reads as a ``default`` of None."""
+        if name not in self._members:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required member {name!r}", pointer=self.pointer(name))
+            return default
+        del self._unread[name]
+        v = self._members[name]
+        return None if v is None and default is None else read_value(
+            v, kind, self.pointer(name), build)
+
+    def items(self, name: str, kind: type, build=None, default=_REQUIRED):
+        """The list member ``name``, each item read as ``kind``."""
+        ptr = self.pointer(name)
+        return self.read(name, list, lambda values: [
+            read_value(v, kind, f"{ptr}/{i}", build) for i, v in enumerate(values)], default)
 
 
 @dataclass(frozen=True)
@@ -106,17 +162,15 @@ class AtomicCircleMeasure:
         """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``.
         A weight out of range raises ConfigError at its own pointer, and
         atoms that coincide or charge the excluded point at ``ptr``."""
-        atoms = []
-        for i, a in enumerate(json_member(d, "atoms", ptr)):
-            ap = f"{ptr}/atoms/{i}"
-            atoms.append(at_pointer(
-                f"{ap}/weight", CircleAtom,
-                BoundaryPoint(json_number(json_member(a, "angle", ap), f"{ap}/angle")),
-                json_number(json_member(a, "weight", ap), f"{ap}/weight")))
-        exc = d.get("excluded_angle")
-        excluded = None if exc is None else BoundaryPoint(
-            json_number(exc, f"{ptr}/excluded_angle"))
-        return at_pointer(ptr, cls, atoms, excluded)
+        with JsonObject(d, ptr) as r:
+            atoms = r.items("atoms", dict, _circle_atom)
+            return cls(atoms, r.read("excluded_angle", float, BoundaryPoint, default=None))
+
+
+def _circle_atom(d: dict, ptr: str) -> CircleAtom:
+    with JsonObject(d, ptr) as r:
+        angle = BoundaryPoint(r.read("angle", float))
+        return r.read("weight", float, lambda w: CircleAtom(angle, w))
 
 
 def circle_measure(pairs, excluded_angle: float | None = None) -> AtomicCircleMeasure:
@@ -246,23 +300,17 @@ class MeasureSchedule:
     @classmethod
     def from_dict(cls, d: dict, ptr: str = "") -> "MeasureSchedule":
         """Read ``to_dict`` output; ``ptr`` is the JSON pointer of ``d``.
-        A schedule that breaks a structural invariant, or whose members
-        have the wrong JSON types, raises ConfigError at ``ptr``."""
-        try:
-            segs = []
-            for i, s in enumerate(json_member(d, "segments", ptr)):
-                sp = f"{ptr}/segments/{i}"
-                segs.append(ScheduleSegment(
-                    json_number(json_member(s, "t0", sp), f"{sp}/t0"),
-                    json_number(json_member(s, "t1", sp), f"{sp}/t1"),
-                    AtomicCircleMeasure.from_dict(json_member(s, "measure", sp),
-                                                  f"{sp}/measure")))
-            hold_last = d.get("hold_last", False)
-            if not isinstance(hold_last, bool):
-                raise ConfigError("hold_last must be true or false", pointer=f"{ptr}/hold_last")
-            return cls(segs, hold_last)
-        except (ValidationError, TypeError) as exc:
-            raise ConfigError(str(exc), pointer=ptr) from None
+        A segment whose t1 is not past its t0 raises ConfigError at the
+        segment, and segments that do not tile [0, end) at ``ptr``."""
+        with JsonObject(d, ptr) as r:
+            segments = r.items("segments", dict, _schedule_segment)
+            return cls(segments, r.read("hold_last", bool, default=False))
+
+
+def _schedule_segment(d: dict, ptr: str) -> ScheduleSegment:
+    with JsonObject(d, ptr) as r:
+        return ScheduleSegment(r.read("t0", float), r.read("t1", float),
+                               r.read("measure", dict, AtomicCircleMeasure.from_dict))
 
 
 def _guard_poles(den) -> None:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from bench_configs import BENCH_CONFIGS
 from loewner.cli import main
 
 PI = math.pi
@@ -156,6 +157,36 @@ class TestVerifyCommand:
         assert err.startswith(f"config error: {pointer}: ")
         assert "Traceback" not in err
 
+    def test_misspelled_member_exits_at_its_pointer(self, tmp_path, capsys):
+        # the seed-1 verify_dilation bench config, with fixed_points misspelled
+        d = dict(BENCH_CONFIGS["verify_dilation", 1])
+        d["fixed_point"] = d.pop("fixed_points")
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(d))
+        assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: /fixed_point: unknown member 'fixed_point'\n"
+
+    @pytest.mark.parametrize("p,pointer", [
+        ({"const_re": 1.0, "measure": {"atoms": [{"angle": 2.0, "weight": 1.0}]}},
+         "/field/p/measure"),
+        ({"measure": {"atoms": []}, "schedule": {"segments": []}}, "/field/p/schedule"),
+        ({"const_re": 1.0, "imag_const": 0.5}, "/field/p/imag_const"),
+    ], ids=["const-and-measure", "measure-and-schedule", "const-and-imag-const"])
+    def test_two_forms_of_p_exit_at_the_second(self, tmp_path, capsys, p, pointer):
+        cfg = write_config(tmp_path, field={"kind": "berkson_porta", "tau": {"angle": 0.0},
+                                            "p": p}, fixed_points=[])
+        assert main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {pointer}: unknown member ")
+
+    def test_two_forms_of_tau_exit_at_the_second(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, field={
+            "kind": "reciprocal", "tau": {"angle": 0.0, "re": 1.0, "im": 0.0},
+            "data": [{"angle": 2.0, "alpha": 1.0}]}, fixed_points=[])
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: /field/tau/re: unknown member ")
+
 
 class TestSimulateCommand:
     def test_per_point_trajectories(self, tmp_path):
@@ -239,3 +270,23 @@ class TestDerivativeCommand:
         res = run_cli("derivative", "--config", str(cfg), "--sigma", "0",
                       "--times", "abc")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("sigma,times,argument", [
+        ("abc", "0.5", "--sigma"),
+        ("nan", "0.5", "--sigma"),
+        ("inf", "0.5", "--sigma"),
+        (str(PI), "nan", "--times"),
+        (str(PI), "0.5,inf", "--times"),
+        (str(PI), "0.5,x", "--times"),
+        (str(PI), "0.5,2", "--times"),  # the schedule ends at 1 and hold_last is off
+        (str(PI), "1,0.5", "--times"),
+        (str(PI), ",", "--times"),
+    ], ids=["sigma-text", "sigma-nan", "sigma-inf", "times-nan", "times-inf", "times-text",
+            "times-past-schedule", "times-decreasing", "times-empty"])
+    def test_bad_arguments_exit_2_naming_them(self, tmp_path, capsys, sigma, times, argument):
+        cfg = write_config(tmp_path)
+        code = main(["derivative", "--config", str(cfg), "--sigma", sigma, "--times", times])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"config error: {argument}: ")
+        assert "Traceback" not in captured.err

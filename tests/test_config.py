@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_configs import BENCH_CONFIGS
 from loewner import ConfigError, CorollaryField
+from loewner.checks import CHECK_NAMES
 from loewner.config import MAX_GRID_POINTS, RunConfig, emit_config, parse_config
 
 PI = math.pi
@@ -129,6 +132,16 @@ class TestParsing:
         assert "t1 = 2.0 is past the schedule end 1.0" in str(e.value)
         d["field"]["schedule"]["hold_last"] = True
         assert parse_config(as_bytes(d)).integration.t1 == 2.0
+
+    def test_values_past_python_limits(self):
+        # an integer past the digit limit of int(), and nesting past the recursion limit
+        for text in ('{"field": ' + "1" * 5000 + "}", "[" * 100000):
+            with pytest.raises(ConfigError, match="JSON value out of range"):
+                parse_config(text)
+        # an integer no float can hold
+        with pytest.raises(ConfigError) as e:
+            parse_config(as_bytes(variant(integration={"t0": 0, "t1": 10 ** 400})))
+        assert str(e.value) == "/integration/t1: number must be finite"
 
     def test_tolerance_override_for_unknown_check(self):
         d = variant(tolerances={"nope": 1.0})
@@ -295,6 +308,52 @@ REPLACEMENTS = st.one_of(
 )
 
 
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _pointer(path):
+    return "".join("/" + str(k).replace("~", "~0").replace("/", "~1") for k in path)
+
+
+#: every member name that some config object takes; an added member
+#: avoids them all, so it is unknown wherever it lands
+READER_NAMES = CHECK_NAMES | {
+    "skip_field_validation", "field", "integration", "grid", "checks", "fixed_points",
+    "output", "tolerances", "kind", "tau", "p", "data", "schedule", "angle", "re", "im",
+    "alpha", "const_re", "const_im", "measure", "imag_const", "segments", "hold_last",
+    "t0", "t1", "atoms", "weight", "excluded_angle", "rel_tol", "abs_tol", "radii",
+    "angles", "expected_role", "trajectory_csv", "report_json", "combined"}
+
+
+@st.composite
+def added_members(draw):
+    """(config, path, message): a base with a member of a random name
+    added to one of its objects."""
+    config = json.loads(json.dumps(draw(st.sampled_from(MUTATION_BASES))))
+    objects = [()] + [p for p in _members(config) if isinstance(_at(config, p), dict)]
+    path = draw(st.sampled_from(objects))
+    name = draw(st.text(max_size=12).filter(lambda n: n not in READER_NAMES))
+    _at(config, path)[name] = draw(REPLACEMENTS)
+    return config, path + (name,), f"unknown member {name!r}"
+
+
+@st.composite
+def replaced_containers(draw):
+    """(config, path, message): a base with one of its objects or lists
+    replaced by a string or a number."""
+    config = json.loads(json.dumps(draw(st.sampled_from(MUTATION_BASES))))
+    path = draw(st.sampled_from(
+        [p for p in _members(config) if isinstance(_at(config, p), (dict, list))]))
+    kind = "an object" if isinstance(_at(config, path), dict) else "a list"
+    value = draw(st.one_of(st.text(max_size=12), st.integers(-10 ** 13, 10 ** 13),
+                           st.floats(allow_nan=False, allow_infinity=False)))
+    _at(config, path[:-1])[path[-1]] = value
+    return config, path, f"expected {kind}, got {value!r}"
+
+
 @st.composite
 def single_member_mutations(draw):
     base = draw(st.sampled_from(MUTATION_BASES))
@@ -325,3 +384,44 @@ class TestMutatedConfigs:
         except ConfigError:
             return
         assert isinstance(parsed, RunConfig)
+
+    @given(st.one_of(added_members(), replaced_containers()))
+    @settings(max_examples=500, deadline=None)
+    def test_unknown_member_or_wrong_container_names_its_pointer(self, mutation):
+        config, path, message = mutation
+        with pytest.raises(ConfigError) as e:
+            parse_config(as_bytes(config))
+        assert e.value.pointer == _pointer(path)
+        assert str(e.value) == f"{_pointer(path)}: {message}"
+
+    @pytest.mark.parametrize("base", range(len(MUTATION_BASES)))
+    def test_bases_emit_pinned_bytes(self, base):
+        emitted = emit_config(parse_config(as_bytes(MUTATION_BASES[base])))
+        assert hashlib.sha256(emitted).hexdigest() == BASE_EMIT_SHA256[base]
+
+
+#: sha256 of the emit_config bytes of each MUTATION_BASES entry and each
+#: bench config, recorded with the parser that preceded the one-pass
+#: reader; a config without unknown or conflicting members parses to the
+#: same RunConfig, so the report digests and outputs do not move
+BASE_EMIT_SHA256 = [
+    "099536ebbc86ceebc1f200dd96d4ba0b139741d1d69683ce3dbe029d0c76feb5",
+    "1f5097980a96a1f008c3585e762575c7a6c33a99edf9d70498e50529c4ab2b13",
+    "d738eae7170ecb9fffe080d5c36de3a62e85d8722f42f0e6489c108635496aa5",
+    "fd8b3f0492d9a3566bf6baf62c641c146d679112ff9afd80eb1878ebc765aa44",
+    "f50c14164ab1188f384d6e070283daed30fc0a5318f8d078bcd2a685d4a16269",
+]
+BENCH_EMIT_SHA256 = {
+    ("verify_oracle", 1): "12be3fe8eb1ea8c223b04f2252b0a291b2dd4e74794e4b17a6a7c11b7bf56a18",
+    ("verify_dilation", 1): "3e19de059571221d11ddb814bf49b560dd3597a7ddbc1002f6850cc4889729cc",
+    ("simulate_grid", 1): "94a74712eab6cfbbe038db71f08e0ac641b2ff99ade8800582d188a88c33110b",
+    ("verify_oracle", 7): "cf1cf1d71e8b0d840ad851955c4bc96b1403e1f4c0f61806e092262d5b1d8987",
+    ("verify_dilation", 7): "50579efc7e5e5c7615eb7cd8ec4c3d055260a59192c049ea3cca79b5ceef5770",
+    ("simulate_grid", 7): "d2735e45beec13fa890b75c4a806e6fb8c0a0d4dcd59cac8f01a2a57cf8374b0",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
+def test_bench_configs_emit_pinned_bytes(workload):
+    emitted = emit_config(parse_config(as_bytes(BENCH_CONFIGS[workload])))
+    assert hashlib.sha256(emitted).hexdigest() == BENCH_EMIT_SHA256[workload]

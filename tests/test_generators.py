@@ -363,14 +363,16 @@ class TestFieldJson:
         assert again == fld
 
     def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError) as e:
             field_from_dict({"kind": "nope"})
+        assert e.value.pointer == "/kind"
 
     def test_foreign_payload_rejected(self):
         d = corollary_delta(PI).to_dict()
         d["data"] = []
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError) as e:
             field_from_dict(d)
+        assert e.value.pointer == "/data"
 
     def test_validation_bypass(self):
         bad = {
@@ -397,12 +399,18 @@ class TestFieldValidation:
             )
         assert info.value.pointer == "/data/0/alpha"
 
-    def test_tau_must_avoid_prescribed_points(self):
+    def test_constant_p_takes_no_imag_const(self):
+        assert BerksonPortaField(0j, p_const=1.0 + 0.5j).imag_const == 0.0
         with pytest.raises(ValidationError):
+            BerksonPortaField(0j, p_const=1.0, imag_const=0.5)
+
+    def test_tau_must_avoid_prescribed_points(self):
+        with pytest.raises(ConfigError) as e:
             field_from_dict(
                 {"kind": "reciprocal", "tau": {"angle": 0.0},
                  "data": [{"angle": 0.0, "alpha": 1.0}]}
             )
+        assert e.value.pointer == "/"  # the payload itself
 
     def test_corollary_needs_probability_segments(self):
         nu = circle_measure([(PI, 0.5)], excluded_angle=0.0)
