@@ -97,12 +97,14 @@ def _load():
     count_type = np.dtype(n)
 
     def rk4(data, grid, y):
-        kernel = _packed(data, y)
+        tau, start, atoms = _packed(data, y)
         grid = np.ascontiguousarray(grid, dtype=float)
-        return rk4_window(*kernel, grid.ctypes, len(grid), y.ctypes, y.size)
+        return rk4_window(_KINDS[data.kind], *_addresses(tau, start, atoms), len(atoms),
+                          grid.ctypes.data, len(grid), y.ctypes.data, y.size)
 
     def dp(data, t0, t1, y, tol, guard, record, tally):
-        kernel = _packed(data, y)
+        tau, start, atoms = _packed(data, y)
+        kernel = (_KINDS[data.kind], *_addresses(tau, start, atoms), len(atoms))
         settings = np.array([t1, tol.rel_tol, tol.abs_tol, tol.max_step, tol.min_step,
                              tol.boundary_guard, float(guard)])
         ctl = np.array([t0, min(tol.max_step, t1 - t0), 1.0, -1.0, math.inf, 0.0])
@@ -110,8 +112,8 @@ def _load():
         slope, work = np.empty_like(y), np.empty(2 * y.size, dtype=complex)
         cap = 0 if record is None else _ROWS
         rows_t, rows_w = np.empty(cap), np.empty((cap, *y.shape), dtype=complex)
-        buffers = [a.ctypes for a in (settings, ctl, count, y, slope, work)]
-        rows = (rows_t.ctypes, rows_w.ctypes) if cap else (None, None)
+        buffers = _addresses(settings, ctl, count, y, slope, work)
+        rows = _addresses(rows_t, rows_w) if cap else (None, None)
         fresh = 1
         while True:
             status = dp_window(*kernel, *buffers, y.size, *rows, cap, fresh)
@@ -132,15 +134,18 @@ def _load():
 
 
 def _packed(data, y) -> tuple:
-    """The leading arguments of both windows for the kernel ``data``, after
-    checking the state they will write to."""
+    """The arrays (tau, start, atoms) of the kernel ``data`` for both
+    windows, after checking the state they will write to."""
     if y.dtype != complex or not y.flags.c_contiguous or not y.flags.writeable:
         raise ValueError("the state must be a writeable contiguous complex array")
-    tau = np.array([data.tau], dtype=complex)
-    start = np.array([data.start], dtype=complex)
-    atoms = np.array(data.atoms, dtype=complex).reshape(-1, 2)
-    # an array's .ctypes passes its address and keeps the array alive
-    return _KINDS[data.kind], tau.ctypes, start.ctypes, atoms.ctypes, len(atoms)
+    return (np.array([data.tau], dtype=complex), np.array([data.start], dtype=complex),
+            np.array(data.atoms, dtype=complex).reshape(-1, 2))
+
+
+def _addresses(*arrays) -> list:
+    """Each array's data address; unlike ``.ctypes`` it costs no ``ctypes.cast``
+    but keeps no array alive, so callers hold them until the call returns."""
+    return [a.ctypes.data for a in arrays]
 
 
 def _cache_dir() -> Path:

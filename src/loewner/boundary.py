@@ -22,20 +22,10 @@ from .integrate import ToleranceSettings, iter_evolve_at
 from .measures import NevanlinnaRep, nevanlinna_eval
 
 
-def _check_radii(radii) -> list[float]:
-    radii = [float(r) for r in radii]
-    if len(radii) < 2:
-        raise DomainError("need at least two radii")
-    if any(not (0.0 < r < 1.0) for r in radii) or any(
-        b <= a for a, b in zip(radii, radii[1:])
-    ):
-        raise DomainError("radii must be strictly increasing inside (0, 1)")
-    return radii
-
-
-def _radial_values(evaluate, sigma: BoundaryPoint, radii: list[float], n_times: int):
-    """For each of n_times times, (kept radii, values at r*sigma), where
-    ``evaluate(z)`` yields the value of z at each time in turn.
+def _radial_values(evaluate, sigma: BoundaryPoint, n_times: int):
+    """For each of n_times times, (kept radii, values at r*sigma) over the
+    ``default_radii``, where ``evaluate(z)`` yields the value of z at each
+    time in turn.
 
     All radii go in one batch.  If that raises a LoewnerError, each radius
     is evaluated as a scalar: a radius that fails at time u still serves
@@ -43,6 +33,7 @@ def _radial_values(evaluate, sigma: BoundaryPoint, radii: list[float], n_times: 
     first radius that did not reach it, so evaluation stops at a radius
     that reached no time.  Any other exception is a bug and propagates.
     """
+    radii = default_radii()
     zs = np.asarray([r * sigma.value for r in radii])
     try:
         return [(radii, list(np.asarray(ws))) for ws in evaluate(zs)]
@@ -83,11 +74,11 @@ class AngularDerivativeEstimate:
     diverged: bool
 
 
-def angular_derivative(
-    map_fn, sigma: BoundaryPoint, omega: BoundaryPoint, radii=None
-) -> AngularDerivativeEstimate:
-    radii = _check_radii(default_radii() if radii is None else radii)
-    ((kept_r, ws),) = _radial_values(lambda z: (map_fn(z),), sigma, radii, 1)
+def angular_derivative(map_fn, sigma: BoundaryPoint,
+                       omega: BoundaryPoint) -> AngularDerivativeEstimate:
+    """Radial limit at sigma of the difference quotient of ``map_fn``
+    toward omega, over the ``default_radii``."""
+    ((kept_r, ws),) = _radial_values(lambda z: (map_fn(z),), sigma, 1)
     return _estimate(sigma, omega, kept_r, ws)
 
 
@@ -141,9 +132,9 @@ def check_julia(map_fn, sigma: BoundaryPoint, omega: BoundaryPoint,
 
 
 def dilation_curve(spec: FieldSpec, sigma: BoundaryPoint, t_grid,
-                   tol: ToleranceSettings | None = None, radii=None, s: float = 0.0):
+                   tol: ToleranceSettings | None = None, s: float = 0.0):
     """Measured angular derivative of phi_{s,t} at sigma for each t, from
-    one integration of the radial points starting at s.
+    one integration of the points at the ``default_radii`` starting at s.
 
     Divergent estimates propagate as NaN entries.
     """
@@ -152,9 +143,8 @@ def dilation_curve(spec: FieldSpec, sigma: BoundaryPoint, t_grid,
         raise DomainError("t_grid must be increasing and start at t >= s >= 0")
     if not ts:
         return []
-    radii = _check_radii(default_radii() if radii is None else radii)
     out = []
-    sweep = _radial_values(lambda z: iter_evolve_at(spec, s, ts, z, tol), sigma, radii, len(ts))
+    sweep = _radial_values(lambda z: iter_evolve_at(spec, s, ts, z, tol), sigma, len(ts))
     for t, (kept_r, ws) in zip(ts, sweep):
         est = _estimate(sigma, sigma, kept_r, ws)
         out.append((t, math.nan if est.diverged else est.value))

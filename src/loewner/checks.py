@@ -37,7 +37,7 @@ from .boundary import (
     normalize_fix_origin,
 )
 from .config import ROLE_DW, RunConfig
-from .disk import BoundaryPoint, pseudo_hyperbolic_distance
+from .disk import BoundaryPoint, on_circle, pseudo_hyperbolic_distance
 from .errors import LoewnerError
 from .generators import FieldSpec, build_three_brfp_map
 from .grids import disk_grid_100, random_interior_pairs, upper_half_plane_grid
@@ -302,7 +302,7 @@ def dilation_tracking(ctx: CheckContext):
 def dilation_monotone(ctx: CheckContext):
     fps = ctx.config.fixed_points
     tau = ctx.field.tau
-    interior_dw = abs(tau) < 1.0 - 1e-9
+    interior_dw = not on_circle(tau)
     if not fps and not interior_dw:
         raise NotApplicable("no prescribed fixed points")
     ts = ctx.monotone_times

@@ -2,10 +2,10 @@
 
 Syntax errors report the byte offset; every other error reports the JSON
 pointer of the member at fault.  ``parse_config`` reads each object with
-the reader of ``measures``, so an unknown member, or a second form of
-``tau`` or ``p``, is an error too.  The value types built from the
-members enforce their invariants, which the reader reports at the
-member's pointer, so the rest of the pipeline can assume a valid
+the reader of ``measures``, so an unknown or repeated member, or a
+second form of ``tau`` or ``p``, is an error too.  The value types built
+from the members enforce their invariants, which the reader reports at
+the member's pointer, so the rest of the pipeline can assume a valid
 configuration.
 """
 
@@ -17,12 +17,12 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .disk import BoundaryPoint
+from .disk import BoundaryPoint, on_circle
 from .errors import ConfigError, DomainError, ValidationError
 from .generators import FieldSpec, field_from_dict
 from .grids import polar_grid
 from .integrate import ToleranceSettings
-from .measures import JsonObject
+from .measures import JsonObject, json_object
 
 ROLE_BRFP = "brfp"
 ROLE_DW = "dw"
@@ -129,8 +129,8 @@ def parse_config(text: bytes | str) -> RunConfig:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8: {exc}", byte_offset=exc.start)
-    try:
-        data = json.loads(text)  # NaN and Infinity read as floats the number rule rejects
+    try:  # NaN and Infinity read as floats the number rule rejects
+        data = json.loads(text, object_pairs_hook=json_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"JSON syntax error: {exc.msg}", byte_offset=exc.pos)
     except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
@@ -195,7 +195,7 @@ def _fixed_point(d: dict, ptr: str, spec: FieldSpec, skip_validation: bool) -> F
         if fp.role == ROLE_BRFP:
             if not any(fp.point.gap(p) <= _MATCH_TOL for p in spec.null_points):
                 raise ValidationError("brfp angle does not match any prescribed sigma")
-        elif abs(abs(spec.tau) - 1.0) > 1e-9:
+        elif not on_circle(spec.tau):
             raise ValidationError("field has an interior DW point; it cannot be listed by angle")
         elif fp.point.gap(BoundaryPoint.from_complex(spec.tau)) > _MATCH_TOL:
             raise ValidationError("dw angle does not match tau")

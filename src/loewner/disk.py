@@ -19,8 +19,11 @@ from .errors import DomainError, PoleError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
-#: modulus below which a Mobius denominator counts as an exact pole
+#: modulus below which a denominator counts as an exact pole
 POLE_EPS = 1e-300
+
+#: largest ||z| - 1| at which z counts as a point of the circle
+CIRCLE_TOL = 1e-9
 
 #: minimal angular separation for distinct boundary points
 ANGLE_GAP = 1e-12
@@ -32,6 +35,19 @@ def require_interior(z: complex, name: str = "z") -> complex:
     if abs(z) >= 1.0:
         raise DomainError(f"{name} = {z} is not in the open unit disk")
     return z
+
+
+def guard_pole(den, message: str):
+    """``den``, a denominator (a number or a numpy array), unless some
+    entry has modulus below POLE_EPS: then PoleError(message)."""
+    if np.min(np.abs(den)) < POLE_EPS:
+        raise PoleError(message)
+    return den
+
+
+def _point(z):
+    """A numpy array as it is, anything else as a complex number."""
+    return z if isinstance(z, np.ndarray) else complex(z)
 
 
 @dataclass(frozen=True)
@@ -52,7 +68,8 @@ class BoundaryPoint:
         object.__setattr__(self, "angle", a)
 
     @classmethod
-    def from_complex(cls, z: complex, tol: float = 1e-9) -> "BoundaryPoint":
+    def from_complex(cls, z: complex, tol: float = CIRCLE_TOL) -> "BoundaryPoint":
+        """The circle point at the phase of z, which lies within ``tol`` of it."""
         z = complex(z)
         if abs(abs(z) - 1.0) > tol:
             raise ValidationError(f"|{z}| = {abs(z)} is not on the unit circle")
@@ -69,6 +86,12 @@ class BoundaryPoint:
         """Angular distance along the circle, in [0, pi]."""
         d = abs(self.angle - other.angle) % TWO_PI
         return min(d, TWO_PI - d)
+
+
+def on_circle(z: complex) -> bool:
+    """Whether z lies within CIRCLE_TOL of the unit circle: the test that
+    tells a Denjoy-Wolff point tau on the circle from one in the disk."""
+    return abs(abs(z) - 1.0) <= CIRCLE_TOL
 
 
 @dataclass(frozen=True)
@@ -99,15 +122,8 @@ class MobiusTransform:
 
     def apply(self, z):
         """Evaluate at a complex number or a numpy array of them."""
-        if isinstance(z, np.ndarray):
-            den = self.c * z + self.d
-            if np.min(np.abs(den)) < POLE_EPS:
-                raise PoleError("Mobius transform evaluated at its pole")
-            return (self.a * z + self.b) / den
-        z = complex(z)
-        den = self.c * z + self.d
-        if abs(den) < POLE_EPS:
-            raise PoleError(f"Mobius transform has a pole at z = {z}")
+        z = _point(z)
+        den = guard_pole(self.c * z + self.d, "Mobius transform evaluated at its pole")
         return (self.a * z + self.b) / den
 
     __call__ = apply
@@ -117,9 +133,7 @@ class MobiusTransform:
 
     def derivative(self, z: complex) -> complex:
         det = self.a * self.d - self.b * self.c
-        den = self.c * complex(z) + self.d
-        if abs(den) < POLE_EPS:
-            raise PoleError(f"Mobius derivative has a pole at z = {z}")
+        den = guard_pole(self.c * complex(z) + self.d, "Mobius derivative evaluated at its pole")
         return det / (den * den)
 
 
@@ -131,32 +145,18 @@ class CayleyMap:
     tau: BoundaryPoint
 
     def forward(self, z):
-        t = self.tau.value
-        if isinstance(z, np.ndarray):
-            den = t - z
-            if np.min(np.abs(den)) < POLE_EPS:
-                raise PoleError("Cayley map evaluated at tau")
-            return 1j * (t + z) / den
-        z = complex(z)
-        den = t - z
-        if abs(den) < POLE_EPS:
-            raise PoleError(f"Cayley map has a pole at tau = {t}")
+        """Evaluate at a complex number or a numpy array of them."""
+        t, z = self.tau.value, _point(z)
+        den = guard_pole(t - z, "Cayley map evaluated at tau")
         return 1j * (t + z) / den
 
     __call__ = forward
 
     def inverse(self, w):
-        t = self.tau.value
-        if isinstance(w, np.ndarray):
-            den = w + 1j
-            if np.min(np.abs(den)) < POLE_EPS:
-                raise PoleError("inverse Cayley map evaluated at its pole")
-            return t * (w - 1j) / den
-        w = complex(w)
-        den = w + 1j
-        if abs(den) < POLE_EPS:
-            raise PoleError("inverse Cayley map has a pole at w = -i")
-        return t * (w - 1j) / den
+        """Evaluate the inverse at a complex number or a numpy array of them."""
+        w = _point(w)
+        den = guard_pole(w + 1j, "inverse Cayley map evaluated at its pole")
+        return self.tau.value * (w - 1j) / den
 
     def boundary_image(self, sigma: BoundaryPoint) -> float:
         """Image of a circle point other than tau; lands on the real axis."""

@@ -40,13 +40,14 @@ class Extrapolation:
         return self.error > 0.25 * (1.0 + abs(self.value))
 
 
-def richardson(values, ratio: float = 2.0) -> Extrapolation:
-    """Extrapolate samples f(h_k) with h_{k+1} = h_k / ratio to h -> 0."""
+def richardson(values) -> Extrapolation:
+    """Extrapolate samples f(h_k), h_k = 2^-k, to h -> 0: the samples at
+    ``default_radii``, whose 1 - r halves from one radius to the next."""
     vals = [complex(v) for v in values]
     if len(vals) < 2:
         raise ValueError("need at least two samples to extrapolate")
-    w = ratio / (ratio - 1.0)
-    ext = [w * vals[i + 1] - (w - 1.0) * vals[i] for i in range(len(vals) - 1)]
+    # 1.0 * a: a float times a complex rounds as complex * complex, as 2.0 * b does
+    ext = [2.0 * b - 1.0 * a for a, b in zip(vals, vals[1:])]
     if len(ext) == 1:
         return Extrapolation(ext[0], abs(ext[0] - vals[-1]), tuple(ext))
     diffs = [abs(ext[i + 1] - ext[i]) for i in range(len(ext) - 1)]

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .disk import ANGLE_GAP, BoundaryPoint, CayleyMap, MobiusTransform
+from .disk import ANGLE_GAP, BoundaryPoint, CayleyMap, MobiusTransform, on_circle
 from .errors import ConfigError, DomainError, InfeasibleError, ValidationError
 from .extrapolate import default_radii, richardson
 from .measures import (
@@ -177,7 +177,7 @@ def _require_alpha(alpha: float) -> float:
 
 
 def _tau_clear_of_atoms(tau: complex, positions) -> None:
-    if abs(abs(tau) - 1.0) > 1e-9:
+    if not on_circle(tau):
         return
     t = BoundaryPoint.from_complex(tau)
     for p in positions:
@@ -392,16 +392,10 @@ class NullQuotient:
     diverged: bool
 
 
-def null_quotient(
-    spec: FieldSpec, sigma: BoundaryPoint, t: float = 0.0, radii=None
-) -> NullQuotient:
-    radii = list(default_radii() if radii is None else radii)
-    if any(not (0.0 < r < 1.0) for r in radii) or any(
-        b <= a for a, b in zip(radii, radii[1:])
-    ):
-        raise DomainError("radii must be strictly increasing inside (0, 1)")
+def null_quotient(spec: FieldSpec, sigma: BoundaryPoint, t: float = 0.0) -> NullQuotient:
+    """The radial limit of G(z, t)/(z - sigma) over the ``default_radii``."""
     s = sigma.value
-    zs = np.asarray([r * s for r in radii])
+    zs = np.asarray([r * s for r in default_radii()])
     quotients = spec.frozen_at(t)(zs) / (zs - s)
     ex = richardson(quotients)
     diverged = ex.grew_unboundedly or ex.error > 1e-6 * (1.0 + abs(ex.value))
@@ -409,8 +403,12 @@ def null_quotient(
 
 
 def _tau_to_dict(tau: complex) -> dict:
-    if abs(abs(tau) - 1.0) <= 1e-12:
-        return {"angle": BoundaryPoint.from_complex(tau).angle}
+    """``{angle}`` if tau is on the circle and that angle reads back to tau
+    bit for bit, else ``{re, im}``: it reads back to the tau integrated."""
+    if on_circle(tau):
+        angle = BoundaryPoint.from_complex(tau).angle
+        if repr(BoundaryPoint(angle).value) == repr(tau):
+            return {"angle": angle}
     return {"re": tau.real, "im": tau.imag}
 
 

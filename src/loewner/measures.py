@@ -6,17 +6,15 @@ It also holds the reader every config object goes through: a
 ``JsonObject`` takes each member once, by name, at its own JSON pointer;
 ``read_value`` applies the member's type rule and turns a ValidationError
 from the value type built from it into a ConfigError at that pointer;
-and a member that nobody read is an error."""
+and a member that nobody read, or that is given twice, is an error."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .disk import ANGLE_GAP, BoundaryPoint
-from .errors import ConfigError, DomainError, PoleError, ValidationError
+from .disk import ANGLE_GAP, BoundaryPoint, guard_pole
+from .errors import ConfigError, DomainError, ValidationError
 
 PROBABILITY_TOL = 1e-12
 
@@ -25,6 +23,7 @@ PROBABILITY_TOL = 1e-12
 _TYPES = {dict: "an object", list: "a list", float: "a number", int: "an integer",
           str: "a string", bool: "true or false"}
 _REQUIRED = object()
+_REPEATED = object()
 
 
 def _shown(v) -> str:
@@ -53,6 +52,15 @@ def read_value(v, kind: type, ptr: str, build=None):
         return v if build is None else build(v)
     except ValidationError as exc:
         raise ConfigError(str(exc), pointer=ptr) from None
+
+
+def json_object(pairs: list) -> dict:
+    """The ``object_pairs_hook`` of config text: the members as a dict, in
+    which a name given twice reads as ``_REPEATED``."""
+    members = {}
+    for name, value in pairs:
+        members[name] = _REPEATED if name in members else value
+    return members
 
 
 class JsonObject:
@@ -85,13 +93,15 @@ class JsonObject:
     def read(self, name: str, kind: type, build=None, default=_REQUIRED):
         """The member ``name``, read once, as ``read_value`` reads a value.
         Absent, it reads as ``default``, or is an error if there is none;
-        null reads as a ``default`` of None."""
+        null reads as a ``default`` of None; given twice, it is an error."""
         if name not in self._members:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required member {name!r}", pointer=self.pointer(name))
             return default
         del self._unread[name]
         v = self._members[name]
+        if v is _REPEATED:
+            raise ConfigError(f"repeated member {name!r}", pointer=self.pointer(name))
         return None if v is None and default is None else read_value(
             v, kind, self.pointer(name), build)
 
@@ -313,14 +323,6 @@ def _schedule_segment(d: dict, ptr: str) -> ScheduleSegment:
                                r.read("measure", dict, AtomicCircleMeasure.from_dict))
 
 
-def _guard_poles(den) -> None:
-    if isinstance(den, np.ndarray):
-        if np.min(np.abs(den)) < 1e-300:
-            raise PoleError("evaluation point sits on a pole of the kernel")
-    elif abs(den) < 1e-300:
-        raise PoleError("evaluation point sits on a pole of the kernel")
-
-
 @dataclass(frozen=True)
 class NevanlinnaRep:
     """Phi(z) = alpha + beta z + sum_k w_k (1 + t_k z)/(t_k - z), a
@@ -348,9 +350,9 @@ class NevanlinnaRep:
 
 
 def nevanlinna_eval(rep: NevanlinnaRep, z):
+    """Phi(z) at a number or a numpy array of them; PoleError at an atom."""
     acc = rep.alpha + rep.beta * z
     for t, w in rep.measure.atoms:
-        den = t - z
-        _guard_poles(den)
+        den = guard_pole(t - z, "evaluation point sits on a pole of the kernel")
         acc = acc + w * (1.0 + t * z) / den
     return acc

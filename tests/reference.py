@@ -21,11 +21,12 @@ from loewner.disk import (
     BoundaryPoint,
     CayleyMap,
     MobiusTransform,
+    guard_pole,
     require_interior,
 )
 from loewner.errors import ConstraintError, DomainError, PoleError, ValidationError
 from loewner.grids import polar_grid
-from loewner.measures import PROBABILITY_TOL, AtomicCircleMeasure, _guard_poles
+from loewner.measures import PROBABILITY_TOL, AtomicCircleMeasure
 
 
 def require_probability(mu: AtomicCircleMeasure, tol: float = PROBABILITY_TOL) -> None:
@@ -46,8 +47,7 @@ def herglotz_eval(mu: AtomicCircleMeasure, imag_const: float, z):
         acc = acc + np.zeros_like(z)
     for a in mu.atoms:
         s = a.position.value
-        den = s - z
-        _guard_poles(den)
+        den = guard_pole(s - z, "evaluation point sits on a pole of the kernel")
         acc = acc + a.weight * (s + z) / den
     return acc
 
@@ -65,8 +65,7 @@ def corollary_q_eval(nu: AtomicCircleMeasure, z):
         acc = np.zeros_like(z)
     for a in nu.atoms:
         k = a.position.value
-        den = 1.0 + k * z
-        _guard_poles(den)
+        den = guard_pole(1.0 + k * z, "evaluation point sits on a pole of the kernel")
         acc = acc + a.weight * (1.0 - k) / den
     return acc
 

@@ -22,6 +22,7 @@ from loewner import (
     evolution_map,
     normalize_fix_origin,
 )
+from loewner.extrapolate import default_radii
 from loewner.grids import disk_grid_100, upper_half_plane_grid
 from conftest import (
     corollary_delta,
@@ -80,8 +81,17 @@ class TestAngularDerivative:
         assert est.value is None
 
     def test_raw_quotients_recorded(self):
-        est = angular_derivative(identity_map, ONE, ONE, radii=[0.9, 0.95, 0.975, 0.9875])
-        assert len(est.raw_quotients) == 4
+        est = angular_derivative(identity_map, ONE, ONE)
+        assert est.raw_quotients == tuple((r, 1.0 + 0j) for r in default_radii())
+
+    def test_square_at_one_is_two(self):
+        # the radii are not the caller's: the Richardson step assumes that
+        # 1 - r halves from one radius to the next, which [0.5, 0.6, 0.7, 0.8]
+        # breaks, reading 1.9 with no divergence flag
+        est = angular_derivative(lambda z: z * z, ONE, ONE)
+        assert not est.diverged and est.value == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(TypeError):
+            angular_derivative(lambda z: z * z, ONE, ONE, radii=[0.5, 0.6, 0.7, 0.8])
 
     def test_only_package_errors_truncate_the_radii(self):
         # a package error at the outer radii truncates the radius list; any
@@ -177,16 +187,17 @@ class TestDilationCurve:
             assert v == pytest.approx(math.exp(t), rel=1e-8)
 
     def test_failing_radius_serves_earlier_times(self):
-        # with a wide guard band the two outer radii cross it before t = 1:
-        # they still serve t = 0.25, and t = 1 keeps three radii, too few
+        # with a guard band of 0.003 the radii with 1 - r < 0.003 reach no
+        # time, and the next two cross the band before t = 1: they still
+        # serve t = 0.25, and t = 1 keeps three radii, too few
         fld = corollary_delta(PI)
-        radii = [0.2, 0.4, 0.6, 0.8, 0.85]
-        tol = ToleranceSettings(boundary_guard=0.1)
-        (_, early), (_, late) = dilation_curve(fld, ONE, [0.25, 1.0], tol, radii=radii)
-        est = angular_derivative(evolution_map(fld, 0.0, 0.25, tol), ONE, ONE, radii)
-        assert len(est.raw_quotients) == 5
+        radii = default_radii()
+        tol = ToleranceSettings(boundary_guard=0.003)
+        (_, early), (_, late) = dilation_curve(fld, ONE, [0.25, 1.0], tol)
+        est = angular_derivative(evolution_map(fld, 0.0, 0.25, tol), ONE, ONE)
+        assert not est.diverged and [r for r, _ in est.raw_quotients] == radii[:5]
         assert early == pytest.approx(est.value, rel=1e-9)
-        est = angular_derivative(evolution_map(fld, 0.0, 1.0, tol), ONE, ONE, radii)
+        est = angular_derivative(evolution_map(fld, 0.0, 1.0, tol), ONE, ONE)
         assert est.diverged and [r for r, _ in est.raw_quotients] == radii[:3]
         assert math.isnan(late)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bench_configs import BENCH_CONFIGS
 from loewner import ConfigError, CorollaryField
-from loewner.checks import CHECK_NAMES
+from loewner.checks import CHECK_NAMES, config_digest
 from loewner.config import MAX_GRID_POINTS, RunConfig, emit_config, parse_config
 
 PI = math.pi
@@ -247,6 +247,38 @@ class TestFixedPointConsistency:
         d["fixed_points"] = [{"angle": PI, "expected_role": "brfp"}]
         with pytest.raises(ConfigError):
             parse_config(as_bytes(d))
+
+
+class TestTauForms:
+    @pytest.mark.parametrize("re", [1.0 + 5e-13, 1.0 - 5e-13])
+    def test_tau_just_off_the_circle_round_trips(self, re):
+        # within the circle test of the fixed points, but no angle reads back
+        # to it: it is written as given, so the digest names the tau integrated
+        d = json.loads(json.dumps(BENCH_CONFIGS[("verify_dilation", 1)]))
+        d["field"]["tau"] = {"re": re, "im": 0.0}
+        cfg = parse_config(as_bytes(d))
+        assert cfg.field.tau == complex(re, 0.0)
+        assert cfg.to_dict()["field"]["tau"] == {"re": re, "im": 0.0}
+        assert parse_config(emit_config(cfg)) == cfg
+        d["field"]["tau"] = {"angle": 0.0}
+        assert config_digest(cfg) != config_digest(parse_config(as_bytes(d)))
+
+
+class TestRepeatedMembers:
+    def test_repeated_member_is_rejected_at_its_pointer(self):
+        # were the last copy to win, this config would verify with no fixed points
+        text = as_bytes(BENCH_CONFIGS[("verify_dilation", 1)])
+        with pytest.raises(ConfigError) as e:
+            parse_config(text[:-1] + b', "fixed_points": []}')
+        assert str(e.value) == "/fixed_points: repeated member 'fixed_points'"
+
+    def test_repeated_member_inside_tau(self):
+        text = as_bytes(BENCH_CONFIGS[("verify_dilation", 1)])
+        assert text.count(b'"tau": {"angle": 0.0}') == 1
+        with pytest.raises(ConfigError) as e:
+            parse_config(text.replace(b'"tau": {"angle": 0.0}',
+                                      b'"tau": {"angle": 0.0, "angle": 0.5}'))
+        assert str(e.value) == "/field/tau/angle: repeated member 'angle'"
 
 
 class TestValidationHook:

@@ -1,21 +1,27 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loewner
 from loewner import (
     BoundaryPoint,
     CayleyMap,
     ConstraintError,
     DomainError,
     MobiusTransform,
+    NevanlinnaRep,
     PoleError,
+    RealAtomicMeasure,
     angular_derivative,
     pseudo_hyperbolic_distance,
 )
+from loewner.measures import nevanlinna_eval
 from conftest import hyperbolic_automorphism, hyperbolic_x
 from reference import build_automorphism, compose, identity, is_disk_automorphism
 
@@ -41,6 +47,36 @@ class TestBoundaryPoint:
     def test_from_complex_rejects_interior(self):
         with pytest.raises(Exception):
             BoundaryPoint.from_complex(0.5 + 0j)
+
+
+class TestPoleGuard:
+    @pytest.mark.parametrize("evaluate, pole, message", [
+        (MobiusTransform(0.0, 1.0, 1.0, 0.0).apply, 0j, "Mobius transform evaluated at its pole"),
+        (CayleyMap(BoundaryPoint(0.0)).forward, 1.0 + 0j, "Cayley map evaluated at tau"),
+        (CayleyMap(BoundaryPoint(0.0)).inverse, -1j, "inverse Cayley map evaluated at its pole"),
+        (lambda z: nevanlinna_eval(NevanlinnaRep(0.0, 1.0, RealAtomicMeasure(
+            ((0.5, 1.0),), (0.0, 1.0))), z), 0.5 + 0j,
+         "evaluation point sits on a pole of the kernel"),
+    ])
+    def test_number_and_array_meet_the_same_guard(self, evaluate, pole, message):
+        for z in (pole, np.array([0.1j, pole])):
+            with pytest.raises(PoleError) as e:
+                evaluate(z)
+            assert str(e.value) == message
+
+    def test_pole_guard_stays_in_disk(self):
+        """Only disk constructs a PoleError or spells the pole threshold
+        1e-300; the other modules go through its ``guard_pole``."""
+        found = {}
+        for path in sorted(Path(loewner.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                func = node.func if isinstance(node, ast.Call) else None
+                if (getattr(func, "id", None) == "PoleError"
+                        or getattr(func, "attr", None) == "PoleError"):
+                    found.setdefault("PoleError(...)", set()).add(path.name)
+                if isinstance(node, ast.Constant) and repr(node.value) == "1e-300":
+                    found.setdefault("1e-300", set()).add(path.name)
+        assert found == {"PoleError(...)": {"disk.py"}, "1e-300": {"disk.py"}}
 
 
 class TestMobius:

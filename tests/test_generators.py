@@ -196,10 +196,6 @@ class TestNullQuotient:
             assert not nq.diverged
             assert nq.value.real == pytest.approx(1.0 / (2.0 * alpha), rel=1e-7)
 
-    def test_radii_validation(self):
-        with pytest.raises(DomainError):
-            null_quotient(radial_field(), BoundaryPoint(0.0), radii=[0.9, 0.5])
-
 
 class TestFieldData:
     def test_tau_and_null_points(self):
