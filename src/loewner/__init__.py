@@ -10,7 +10,6 @@ from .boundary import (
     JuliaCheckResult,
     angular_derivative,
     check_arc_length,
-    check_half_plane_julia,
     check_julia,
     dilation_curve,
     normalize_fix_origin,
@@ -26,7 +25,6 @@ from .errors import (
     ConfigError,
     ConstraintError,
     DomainError,
-    InfeasibleError,
     IntegrationError,
     LoewnerError,
     NotTangentError,
@@ -39,8 +37,6 @@ from .generators import (
     FieldSpec,
     NullQuotient,
     ReciprocalField,
-    ThreeBrfpMap,
-    build_three_brfp_map,
     field_from_dict,
     null_quotient,
 )
@@ -59,9 +55,6 @@ from .measures import (
     AtomicCircleMeasure,
     CircleAtom,
     MeasureSchedule,
-    NevanlinnaRep,
-    RealAtomicMeasure,
     ScheduleSegment,
     circle_measure,
-    nevanlinna_eval,
 )

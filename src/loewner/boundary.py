@@ -1,6 +1,5 @@
 """Boundary behavior of computed self-maps: angular derivatives, Julia
-quotients, arc-length comparison, and the half-plane derivative
-inequality.
+quotients and arc-length comparison.
 
 Angular limits are taken along the radius only.  At the regular points
 this artifact produces, the radial limit equals the angular limit, and
@@ -19,7 +18,6 @@ from .errors import DomainError, LoewnerError
 from .extrapolate import default_radii, richardson
 from .generators import FieldSpec
 from .integrate import ToleranceSettings, iter_evolve_at
-from .measures import NevanlinnaRep, nevanlinna_eval
 
 
 def _radial_values(evaluate, sigma: BoundaryPoint, n_times: int):
@@ -195,14 +193,3 @@ def check_arc_length(map_fn, arc: tuple[float, float],
     u = np.unwrap(np.angle(ws))
     len_image = float(np.sum(np.abs(np.diff(u))))
     return ArcLengthResult(len_arc, len_image, len_arc <= len_image + 1e-6, True)
-
-
-def check_half_plane_julia(rep: NevanlinnaRep, grid) -> float:
-    """Max over the grid of beta * Im z - Im Phi(z); nonpositive for every
-    genuine upper-half-plane transform (violations mean the derivative
-    bound at infinity fails)."""
-    zs = np.asarray(grid, dtype=complex)
-    if np.min(zs.imag) <= 0.0:
-        raise DomainError("grid must lie in the upper half-plane")
-    vals = nevanlinna_eval(rep, zs)
-    return float(np.max(rep.beta * zs.imag - np.asarray(vals).imag))

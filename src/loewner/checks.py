@@ -11,6 +11,11 @@ tolerance, and it fails on a None residual (the notes say why) or on a
 not hold raises ``NotApplicable``; the check then reads pass with
 residual 0.0 and notes "not applicable: ...".
 
+Every check reads the configured flow, fixed points and window; none
+evaluates fixed instances of its own.  The dilation table holds the
+measured boundary dilations that several checks share: at each listed
+fixed point and at a Denjoy-Wolff point on the circle, listed or not.
+
 Checks run one after another in name order and no check depends on which
 ran before it; the report is sorted by check name.  LOEWNER_THREADS is
 accepted and ignored: the former check thread pool was bound by the
@@ -28,21 +33,13 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .boundary import (
-    angular_derivative,
-    check_arc_length,
-    check_half_plane_julia,
-    check_julia,
-    dilation_curve,
-    normalize_fix_origin,
-)
+from .boundary import check_arc_length, check_julia, dilation_curve, normalize_fix_origin
 from .config import ROLE_DW, RunConfig
-from .disk import BoundaryPoint, on_circle, pseudo_hyperbolic_distance
+from .disk import BoundaryPoint, CayleyMap, on_circle, pseudo_hyperbolic_distance
 from .errors import LoewnerError
-from .generators import FieldSpec, build_three_brfp_map
+from .generators import FieldSpec
 from .grids import disk_grid_100, random_interior_pairs, upper_half_plane_grid
 from .integrate import evolution_map, evolve, evolve_at, rk4_oracle
-from .measures import RealAtomicMeasure
 
 _PI = math.pi
 
@@ -122,6 +119,9 @@ class CheckContext:
         self.monotone_times = [float(u) for u in np.linspace(self.s, self.t, 21)]
         self.tracking_times = [u for u in (self.s + f * (self.t - self.s)
                                            for f in (0.25, 0.5, 0.75, 1.0)) if u > self.s]
+        #: the Denjoy-Wolff point as a circle point, None if it is interior
+        tau = self.field.tau
+        self.boundary_tau = BoundaryPoint.from_complex(tau) if on_circle(tau) else None
 
     def tolerance(self, name: str) -> float:
         return float(self.config.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -129,18 +129,22 @@ class CheckContext:
     @cached_property
     def _dilation_table(self) -> dict:
         """(s, t, angle) -> measured dilation of phi_{s,t} at each
-        prescribed point, None where the estimate diverged.
+        prescribed point and at a Denjoy-Wolff point on the circle, listed
+        or not; None where the estimate diverged.
 
-        One radial sweep per fixed point from s over every time a check
-        reads, and one from the midpoint to t for the chain rule, so the
-        values do not depend on which check asks first.
+        One radial sweep per point from s over every time a check reads,
+        and one from the midpoint to t for the chain rule, so the values
+        do not depend on which check asks first.
         """
         times = sorted({*self.monotone_times, *self.tracking_times, self.mid, self.t})
+        points = {fp.point.angle: fp.point for fp in self.config.fixed_points}
+        if self.boundary_tau is not None:
+            points.setdefault(self.boundary_tau.angle, self.boundary_tau)
         table = {}
-        for fp in self.config.fixed_points:
+        for angle, point in points.items():
             for start, ts in ((self.s, times), (self.mid, [self.t])):
-                for u, d in dilation_curve(self.field, fp.point, ts, self.tol, s=start):
-                    table[(start, u, fp.point.angle)] = None if math.isnan(d) else d
+                for u, d in dilation_curve(self.field, point, ts, self.tol, s=start):
+                    table[(start, u, angle)] = None if math.isnan(d) else d
         return table
 
     def measured_dilation(self, s: float, t: float, point: BoundaryPoint):
@@ -302,7 +306,7 @@ def dilation_tracking(ctx: CheckContext):
 def dilation_monotone(ctx: CheckContext):
     fps = ctx.config.fixed_points
     tau = ctx.field.tau
-    interior_dw = not on_circle(tau)
+    interior_dw = ctx.boundary_tau is None
     if not fps and not interior_dw:
         raise NotApplicable("no prescribed fixed points")
     ts = ctx.monotone_times
@@ -387,35 +391,39 @@ def oracle_agreement(ctx: CheckContext):
             "adaptive solver vs fixed-step RK4 with 1e5 steps")
 
 
-def _beta_instances():
-    for mass in (0.1, 1.0, 10.0):
-        measure = RealAtomicMeasure(((0.0, mass),), (-1.0, 1.0), inside=True)
-        targets = (BoundaryPoint(_PI / 2), BoundaryPoint(3 * _PI / 2), BoundaryPoint(0.0))
-        yield mass, build_three_brfp_map(-1.0, 1.0, measure, targets)
+def _tau_dilation(ctx: CheckContext):
+    """(tau on the circle, measured phi'_{s,t}(tau)); NotApplicable for an
+    interior Denjoy-Wolff point, whose multiplier is not a dilation."""
+    tau = ctx.boundary_tau
+    if tau is None:
+        raise NotApplicable("Denjoy-Wolff point inside the disk")
+    return tau, ctx.measured_dilation(ctx.s, ctx.t, tau)
 
 
-@check(tolerance=1e-12)
+@check(tolerance=1e-6)
 def half_plane_julia(ctx: CheckContext):
-    grid = upper_half_plane_grid()
-    worst = _Worst()
-    for mass, built in _beta_instances():
-        worst.offer(check_half_plane_julia(built.rep, grid), {"mass": mass})
-    return (worst.residual, worst.where,
-            "canonical interior-support transforms; residual = max(beta Im z - Im Phi(z))")
+    tau, d = _tau_dilation(ctx)
+    if d is None:
+        return None, None, f"dilation diverged at tau, angle {tau.angle}"
+    cayley = CayleyMap(tau)
+    w = upper_half_plane_grid()
+    image = cayley.forward(evolution_map(ctx.field, ctx.s, ctx.t, ctx.tol)(cayley.inverse(w)))
+    margin = 1.0 - d * image.imag / w.imag
+    i = int(np.argmax(margin))
+    return (float(margin[i]), {"w": _zdict(w[i]), "dilation": d},
+            "Julia-Wolff at tau: Im Phi(w) >= Im w / phi'(tau) for Phi = C phi C^-1, "
+            "C the Cayley map at tau; residual = max 1 - phi'(tau) Im Phi(w) / Im w")
 
 
 @check(tolerance=1e-4)
 def nevanlinna_beta(ctx: CheckContext):
-    worst = _Worst()
-    for mass, built in _beta_instances():
-        expected = 1.0 / (1.0 + mass)
-        est = angular_derivative(built, built.tau, built.tau)
-        if est.diverged:
-            return None, None, f"dilation diverged for mass {mass}"
-        resid = abs(est.value - expected) / expected
-        resid = max(resid, est.value - 1.0)  # dilation at the DW point stays <= 1
-        worst.offer(resid, {"mass": mass, "measured": est.value, "expected": expected})
-    return worst.residual, worst.where, "canonical instances: f'(tau) = 1/(1 + mass) and <= 1"
+    tau, measured = _tau_dilation(ctx)
+    expected = ctx.field.expected_dilation(tau, ctx.s, ctx.t)
+    if measured is None or expected is None:
+        return None, None, f"divergence at tau, angle {tau.angle}"
+    resid = max(abs(measured - expected) / expected, measured - 1.0)
+    return (resid, {"angle": tau.angle, "t": ctx.t, "measured": measured, "expected": expected},
+            "phi'(tau) matches the data-implied dilation and is <= 1 (Julia-Wolff)")
 
 
 CHECK_NAMES = frozenset(CHECKS)

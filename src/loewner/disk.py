@@ -38,9 +38,10 @@ def require_interior(z: complex, name: str = "z") -> complex:
 
 
 def guard_pole(den, message: str):
-    """``den``, a denominator (a number or a numpy array), unless some
-    entry has modulus below POLE_EPS: then PoleError(message)."""
-    if np.min(np.abs(den)) < POLE_EPS:
+    """``den``, a denominator (a number or a numpy array, maybe empty),
+    unless some entry has modulus below POLE_EPS: then PoleError(message).
+    A NaN entry is not a pole."""
+    if np.any(np.abs(den) < POLE_EPS):
         raise PoleError(message)
     return den
 

@@ -21,10 +21,6 @@ class ConstraintError(LoewnerError, ValueError):
     """A construction problem has no solution for the given data."""
 
 
-class InfeasibleError(ConstraintError):
-    """A solved parameter landed outside its admissible range."""
-
-
 class IntegrationError(LoewnerError, RuntimeError):
     """ODE integration could not continue.
 

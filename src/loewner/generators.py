@@ -16,8 +16,9 @@ Every variant describes its own field data through one interface, so
 no other module branches on the class: ``tau`` is the Denjoy-Wolff
 point, ``null_points`` the prescribed boundary null points, and
 ``expected_dilation(point, s, t)`` the dilation of phi_{s,t} at a
-prescribed point that the data implies (a closed form for the corollary
-variant, the integrated null quotient for the other two).
+prescribed point, or at tau on the circle, that the data implies (a
+closed form for the corollary variant, the integrated null quotient for
+the other two, whose null quotient vanishes at tau).
 
 The three classes stay apart because their kernels differ in the order
 of their complex products; folding the corollary kernel into the
@@ -42,18 +43,15 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .disk import ANGLE_GAP, BoundaryPoint, CayleyMap, MobiusTransform, on_circle
-from .errors import ConfigError, DomainError, InfeasibleError, ValidationError
+from .disk import ANGLE_GAP, BoundaryPoint, on_circle
+from .errors import ConfigError, ValidationError
 from .extrapolate import default_radii, richardson
 from .measures import (
     AtomicCircleMeasure,
     JsonObject,
     MeasureSchedule,
-    NevanlinnaRep,
-    RealAtomicMeasure,
     ScheduleSegment,
     circle_measure,
-    nevanlinna_eval,
 )
 
 
@@ -157,7 +155,7 @@ def _frozen_at(spec, t: float) -> Callable:
 
 def _require_tau(tau: complex) -> complex:
     tau = complex(tau)
-    if abs(tau) > 1.0 + 1e-12:
+    if not abs(tau) <= 1.0 + 1e-12:  # also rejects a NaN tau
         raise ValidationError(f"tau must lie in the closed disk, got |tau| = {abs(tau)}")
     return tau
 
@@ -464,97 +462,3 @@ def field_from_dict(d: dict, validate: bool = True, ptr: str = "") -> FieldSpec:
                     f"{r.pointer('schedule')}/segments/{fault[0]}/measure"))
             return CorollaryField(sched, check=False)
         raise ConfigError(f"unknown field kind {kind!r}", pointer=r.pointer("kind"))
-
-
-@dataclass(frozen=True)
-class ThreeBrfpMap:
-    """Self-map of the disk with boundary regular fixed points sigma1,
-    sigma2, tau, assembled as f = A^{-1} o Phi o A where Phi is a
-    Nevanlinna transform fixing xi1, xi2 and A maps the disk onto the
-    upper half-plane sending tau to infinity and the sigmas onto the
-    xis.  Because A matches fixed points, the conjugation cancels in
-    the chain rule and f'(sigma_j) = Phi'(xi_j), f'(tau) = 1/beta.
-    """
-
-    rep: NevanlinnaRep
-    xi1: float
-    xi2: float
-    tau: BoundaryPoint
-    sigma1: BoundaryPoint
-    sigma2: BoundaryPoint
-    cayley_in: CayleyMap
-    align: MobiusTransform
-    xi_for_sigma1: float
-    xi_for_sigma2: float
-
-    def __call__(self, z):
-        w = self.align.apply(self.cayley_in.forward(z))
-        phi = nevanlinna_eval(self.rep, w)
-        back = self.align.inverse().apply(phi)
-        return self.cayley_in.inverse(back)
-
-    @property
-    def tau_dilation(self) -> float:
-        return 1.0 / self.rep.beta
-
-    @property
-    def sigma1_dilation(self) -> float:
-        return self.rep.derivative(self.xi_for_sigma1)
-
-    @property
-    def sigma2_dilation(self) -> float:
-        return self.rep.derivative(self.xi_for_sigma2)
-
-
-def build_three_brfp_map(
-    xi1: float,
-    xi2: float,
-    measure: RealAtomicMeasure,
-    targets: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint],
-) -> ThreeBrfpMap:
-    """Solve Phi(xi1) = xi1, Phi(xi2) = xi2 for (alpha, beta) and wire the
-    half-plane transform back to the disk.
-
-    For measures supported inside (xi1, xi2) the solved beta equals
-    1 + sum w_k (1 + t_k^2)/((xi2 - t_k)(t_k - xi1)) >= 1, so the dilation
-    at tau is 1/beta <= 1.  Outside-support measures can drive beta to 0
-    or below, which is rejected as infeasible.
-    """
-    xi1, xi2 = float(xi1), float(xi2)
-    if not xi1 < xi2:
-        raise DomainError(f"need xi1 < xi2, got {xi1}, {xi2} (singular system)")
-    wxi1, wxi2 = measure.support_window
-    if abs(wxi1 - xi1) > 1e-12 or abs(wxi2 - xi2) > 1e-12:
-        raise ValidationError("measure support window does not match (xi1, xi2)")
-    sigma1, sigma2, tau = targets
-    for a, b in ((sigma1, sigma2), (sigma1, tau), (sigma2, tau)):
-        if a.gap(b) <= ANGLE_GAP:
-            raise DomainError("target boundary points must be pairwise distinct")
-
-    correction = math.fsum(
-        w * (1.0 + t * t) / ((t - xi2) * (t - xi1)) for t, w in measure.atoms
-    )
-    beta = 1.0 - correction
-    if beta <= 0.0:
-        raise InfeasibleError(f"solved beta = {beta} is not positive")
-    s1 = math.fsum(w * (1.0 + t * xi1) / (t - xi1) for t, w in measure.atoms)
-    alpha = xi1 * (1.0 - beta) - s1
-    rep = NevanlinnaRep(alpha, beta, measure)
-    for xi in (xi1, xi2):
-        if abs(nevanlinna_eval(rep, complex(xi)) - xi) > 1e-12 * max(1.0, abs(xi)):
-            raise ValidationError("fixed-point system solve lost precision")
-
-    cayley_in = CayleyMap(tau)
-    h1 = cayley_in.boundary_image(sigma1)
-    h2 = cayley_in.boundary_image(sigma2)
-    if h1 < h2:
-        m1, m2 = xi1, xi2
-    else:
-        m1, m2 = xi2, xi1
-    u = (m2 - m1) / (h2 - h1)
-    v = m1 - u * h1
-    align = MobiusTransform(u, v, 0.0, 1.0)
-    return ThreeBrfpMap(
-        rep, xi1, xi2, tau, sigma1, sigma2, cayley_in, align, m1, m2
-    )
-

@@ -1,6 +1,5 @@
-"""Atomic measures on the circle and the real line, time schedules, and
-the integral transforms they induce (Herglotz kernels on the disk,
-Nevanlinna kernels on a half-plane).
+"""Atomic measures on the circle and their time schedules, the data of
+the Herglotz kernels that drive the fields.
 
 It also holds the reader every config object goes through: a
 ``JsonObject`` takes each member once, by name, at its own JSON pointer;
@@ -11,9 +10,9 @@ and a member that nobody read, or that is given twice, is an error."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .disk import ANGLE_GAP, BoundaryPoint, guard_pole
+from .disk import ANGLE_GAP, BoundaryPoint
 from .errors import ConfigError, DomainError, ValidationError
 
 PROBABILITY_TOL = 1e-12
@@ -191,36 +190,6 @@ def circle_measure(pairs, excluded_angle: float | None = None) -> AtomicCircleMe
 
 
 @dataclass(frozen=True)
-class RealAtomicMeasure:
-    """Finite positive atomic measure on the real line with a declared
-    support window: atoms lie strictly inside (xi1, xi2) when ``inside``,
-    and strictly outside [xi1, xi2] otherwise."""
-
-    atoms: tuple[tuple[float, float], ...]
-    support_window: tuple[float, float]
-    inside: bool = True
-
-    def __post_init__(self) -> None:
-        xi1, xi2 = (float(v) for v in self.support_window)
-        if not xi1 < xi2:
-            raise ValidationError(f"support window requires xi1 < xi2, got {xi1}, {xi2}")
-        object.__setattr__(self, "support_window", (xi1, xi2))
-        atoms = tuple((float(t), float(w)) for t, w in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        for t, w in atoms:
-            if not (math.isfinite(t) and math.isfinite(w) and w > 0.0):
-                raise ValidationError(f"bad real atom ({t}, {w})")
-            if self.inside and not (xi1 < t < xi2):
-                raise ValidationError(f"atom location {t} not strictly inside ({xi1}, {xi2})")
-            if not self.inside and xi1 <= t <= xi2:
-                raise ValidationError(f"atom location {t} not outside [{xi1}, {xi2}]")
-
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(w for _, w in self.atoms)
-
-
-@dataclass(frozen=True)
 class ScheduleSegment:
     t_start: float
     t_end: float
@@ -321,38 +290,3 @@ def _schedule_segment(d: dict, ptr: str) -> ScheduleSegment:
     with JsonObject(d, ptr) as r:
         return ScheduleSegment(r.read("t0", float), r.read("t1", float),
                                r.read("measure", dict, AtomicCircleMeasure.from_dict))
-
-
-@dataclass(frozen=True)
-class NevanlinnaRep:
-    """Phi(z) = alpha + beta z + sum_k w_k (1 + t_k z)/(t_k - z), a
-    self-map of the upper half-plane when beta >= 0."""
-
-    alpha: float
-    beta: float
-    measure: RealAtomicMeasure = field(
-        default_factory=lambda: RealAtomicMeasure((), (-1.0, 1.0))
-    )
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValidationError("alpha and beta must be finite")
-        if self.beta < 0.0:
-            raise ValidationError(f"beta must be >= 0, got {self.beta}")
-
-    def derivative(self, x: float) -> float:
-        """Phi'(x) = beta + sum w_k (1 + t_k^2)/(t_k - x)^2 at a real
-        point off the support."""
-        acc = self.beta
-        for t, w in self.measure.atoms:
-            acc += w * (1.0 + t * t) / (t - x) ** 2
-        return acc
-
-
-def nevanlinna_eval(rep: NevanlinnaRep, z):
-    """Phi(z) at a number or a numpy array of them; PoleError at an atom."""
-    acc = rep.alpha + rep.beta * z
-    for t, w in rep.measure.atoms:
-        den = guard_pole(t - z, "evaluation point sits on a pole of the kernel")
-        acc = acc + w * (1.0 + t * z) / den
-    return acc

@@ -7,11 +7,20 @@ automorphism with two prescribed boundary fixed points, the closed-form
 oracle of the hyperbolic flows; ``identity``, ``compose``,
 ``is_disk_automorphism`` and ``as_mobius`` are the Mobius operations it
 needs.  ``disk_grid_64`` is a test grid.
+
+``build_three_brfp_map`` builds a self-map of the disk with three
+prescribed boundary regular fixed points from a Nevanlinna transform of
+the upper half-plane (``NevanlinnaRep`` over a ``RealAtomicMeasure``),
+with closed-form dilations at all three; ``check_half_plane_julia`` is
+the derivative inequality at infinity of such a transform.  The
+acceptance criteria use them as an oracle.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,3 +163,176 @@ def build_automorphism(
 def disk_grid_64() -> np.ndarray:
     """8 radii x 8 angles, staying clear of the boundary."""
     return polar_grid([0.15, 0.3, 0.45, 0.6, 0.72, 0.82, 0.9, 0.95], 8)
+
+
+class InfeasibleError(ConstraintError):
+    """A solved parameter landed outside its admissible range."""
+
+
+@dataclass(frozen=True)
+class RealAtomicMeasure:
+    """Finite positive atomic measure on the real line with a declared
+    support window: atoms lie strictly inside (xi1, xi2) when ``inside``,
+    and strictly outside [xi1, xi2] otherwise."""
+
+    atoms: tuple[tuple[float, float], ...]
+    support_window: tuple[float, float]
+    inside: bool = True
+
+    def __post_init__(self) -> None:
+        xi1, xi2 = (float(v) for v in self.support_window)
+        if not xi1 < xi2:
+            raise ValidationError(f"support window requires xi1 < xi2, got {xi1}, {xi2}")
+        object.__setattr__(self, "support_window", (xi1, xi2))
+        atoms = tuple((float(t), float(w)) for t, w in self.atoms)
+        object.__setattr__(self, "atoms", atoms)
+        for t, w in atoms:
+            if not (math.isfinite(t) and math.isfinite(w) and w > 0.0):
+                raise ValidationError(f"bad real atom ({t}, {w})")
+            if self.inside and not (xi1 < t < xi2):
+                raise ValidationError(f"atom location {t} not strictly inside ({xi1}, {xi2})")
+            if not self.inside and xi1 <= t <= xi2:
+                raise ValidationError(f"atom location {t} not outside [{xi1}, {xi2}]")
+
+    @property
+    def total_mass(self) -> float:
+        return math.fsum(w for _, w in self.atoms)
+
+
+@dataclass(frozen=True)
+class NevanlinnaRep:
+    """Phi(z) = alpha + beta z + sum_k w_k (1 + t_k z)/(t_k - z), a
+    self-map of the upper half-plane when beta >= 0."""
+
+    alpha: float
+    beta: float
+    measure: RealAtomicMeasure = field(
+        default_factory=lambda: RealAtomicMeasure((), (-1.0, 1.0))
+    )
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValidationError("alpha and beta must be finite")
+        if self.beta < 0.0:
+            raise ValidationError(f"beta must be >= 0, got {self.beta}")
+
+    def derivative(self, x: float) -> float:
+        """Phi'(x) = beta + sum w_k (1 + t_k^2)/(t_k - x)^2 at a real
+        point off the support."""
+        acc = self.beta
+        for t, w in self.measure.atoms:
+            acc += w * (1.0 + t * t) / (t - x) ** 2
+        return acc
+
+
+def nevanlinna_eval(rep: NevanlinnaRep, z):
+    """Phi(z) at a number or a numpy array of them; PoleError at an atom."""
+    acc = rep.alpha + rep.beta * z
+    for t, w in rep.measure.atoms:
+        den = guard_pole(t - z, "evaluation point sits on a pole of the kernel")
+        acc = acc + w * (1.0 + t * z) / den
+    return acc
+
+
+def check_half_plane_julia(rep: NevanlinnaRep, grid) -> float:
+    """Max over the grid of beta * Im z - Im Phi(z); nonpositive for every
+    genuine upper-half-plane transform (violations mean the derivative
+    bound at infinity fails)."""
+    zs = np.asarray(grid, dtype=complex)
+    if np.min(zs.imag) <= 0.0:
+        raise DomainError("grid must lie in the upper half-plane")
+    vals = nevanlinna_eval(rep, zs)
+    return float(np.max(rep.beta * zs.imag - np.asarray(vals).imag))
+
+
+@dataclass(frozen=True)
+class ThreeBrfpMap:
+    """Self-map of the disk with boundary regular fixed points sigma1,
+    sigma2, tau, assembled as f = A^{-1} o Phi o A where Phi is a
+    Nevanlinna transform fixing xi1, xi2 and A maps the disk onto the
+    upper half-plane sending tau to infinity and the sigmas onto the
+    xis.  Because A matches fixed points, the conjugation cancels in
+    the chain rule and f'(sigma_j) = Phi'(xi_j), f'(tau) = 1/beta.
+    """
+
+    rep: NevanlinnaRep
+    xi1: float
+    xi2: float
+    tau: BoundaryPoint
+    sigma1: BoundaryPoint
+    sigma2: BoundaryPoint
+    cayley_in: CayleyMap
+    align: MobiusTransform
+    xi_for_sigma1: float
+    xi_for_sigma2: float
+
+    def __call__(self, z):
+        w = self.align.apply(self.cayley_in.forward(z))
+        phi = nevanlinna_eval(self.rep, w)
+        back = self.align.inverse().apply(phi)
+        return self.cayley_in.inverse(back)
+
+    @property
+    def tau_dilation(self) -> float:
+        return 1.0 / self.rep.beta
+
+    @property
+    def sigma1_dilation(self) -> float:
+        return self.rep.derivative(self.xi_for_sigma1)
+
+    @property
+    def sigma2_dilation(self) -> float:
+        return self.rep.derivative(self.xi_for_sigma2)
+
+
+def build_three_brfp_map(
+    xi1: float,
+    xi2: float,
+    measure: RealAtomicMeasure,
+    targets: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint],
+) -> ThreeBrfpMap:
+    """Solve Phi(xi1) = xi1, Phi(xi2) = xi2 for (alpha, beta) and wire the
+    half-plane transform back to the disk.
+
+    For measures supported inside (xi1, xi2) the solved beta equals
+    1 + sum w_k (1 + t_k^2)/((xi2 - t_k)(t_k - xi1)) >= 1, so the dilation
+    at tau is 1/beta <= 1.  Outside-support measures can drive beta to 0
+    or below, which is rejected as infeasible.
+    """
+    xi1, xi2 = float(xi1), float(xi2)
+    if not xi1 < xi2:
+        raise DomainError(f"need xi1 < xi2, got {xi1}, {xi2} (singular system)")
+    wxi1, wxi2 = measure.support_window
+    if abs(wxi1 - xi1) > 1e-12 or abs(wxi2 - xi2) > 1e-12:
+        raise ValidationError("measure support window does not match (xi1, xi2)")
+    sigma1, sigma2, tau = targets
+    for a, b in ((sigma1, sigma2), (sigma1, tau), (sigma2, tau)):
+        if a.gap(b) <= ANGLE_GAP:
+            raise DomainError("target boundary points must be pairwise distinct")
+
+    correction = math.fsum(
+        w * (1.0 + t * t) / ((t - xi2) * (t - xi1)) for t, w in measure.atoms
+    )
+    beta = 1.0 - correction
+    if beta <= 0.0:
+        raise InfeasibleError(f"solved beta = {beta} is not positive")
+    s1 = math.fsum(w * (1.0 + t * xi1) / (t - xi1) for t, w in measure.atoms)
+    alpha = xi1 * (1.0 - beta) - s1
+    rep = NevanlinnaRep(alpha, beta, measure)
+    for xi in (xi1, xi2):
+        if abs(nevanlinna_eval(rep, complex(xi)) - xi) > 1e-12 * max(1.0, abs(xi)):
+            raise ValidationError("fixed-point system solve lost precision")
+
+    cayley_in = CayleyMap(tau)
+    h1 = cayley_in.boundary_image(sigma1)
+    h2 = cayley_in.boundary_image(sigma2)
+    if h1 < h2:
+        m1, m2 = xi1, xi2
+    else:
+        m1, m2 = xi2, xi1
+    u = (m2 - m1) / (h2 - h1)
+    v = m1 - u * h1
+    align = MobiusTransform(u, v, 0.0, 1.0)
+    return ThreeBrfpMap(
+        rep, xi1, xi2, tau, sigma1, sigma2, cayley_in, align, m1, m2
+    )

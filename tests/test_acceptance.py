@@ -11,11 +11,8 @@ import numpy as np
 
 from loewner import (
     BoundaryPoint,
-    RealAtomicMeasure,
     angular_derivative,
-    build_three_brfp_map,
     check_arc_length,
-    check_half_plane_julia,
     check_julia,
     dilation_curve,
     evolution_map,
@@ -33,7 +30,13 @@ from conftest import (
     radial_field,
     two_segment_field,
 )
-from reference import build_automorphism, disk_grid_64
+from reference import (
+    RealAtomicMeasure,
+    build_automorphism,
+    build_three_brfp_map,
+    check_half_plane_julia,
+    disk_grid_64,
+)
 
 PI = math.pi
 ONE = BoundaryPoint(0.0)

@@ -9,14 +9,10 @@ from loewner import (
     CorollaryField,
     DomainError,
     MobiusTransform,
-    NevanlinnaRep,
     PoleError,
-    RealAtomicMeasure,
     ToleranceSettings,
     angular_derivative,
-    build_three_brfp_map,
     check_arc_length,
-    check_half_plane_julia,
     check_julia,
     dilation_curve,
     evolution_map,
@@ -30,6 +26,12 @@ from conftest import (
     hyperbolic_automorphism,
     radial_field,
     two_segment_field,
+)
+from reference import (
+    NevanlinnaRep,
+    RealAtomicMeasure,
+    build_three_brfp_map,
+    check_half_plane_julia,
 )
 
 PI = math.pi

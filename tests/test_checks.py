@@ -14,6 +14,7 @@ from loewner.checks import (
     run_verify,
 )
 from loewner.config import parse_config
+from bench_configs import BENCH_CONFIGS
 
 PI = math.pi
 
@@ -212,3 +213,94 @@ class TestIndividualChecks:
         rep = run(config_dict(field, ["julia", "dilation_tracking", "cowen_pommerenke",
                                       "dilation_monotone", "semigroup"], fps))
         assert rep.all_passed, [(c.name, c.max_residual, c.notes) for c in rep.checks]
+
+
+def two_atom_corollary_dict(weight_pi=0.6, t1=1.0):
+    """A corollary field whose flow is not an automorphism: phi'(1) = exp(-weight_pi t)."""
+    return {"kind": "corollary", "schedule": {"segments": [
+        {"t0": 0, "t1": t1, "measure": {
+            "atoms": [{"angle": PI, "weight": weight_pi},
+                      {"angle": PI / 2, "weight": 1.0 - weight_pi}],
+            "excluded_angle": 0.0}}]}}
+
+
+PARABOLIC = {"kind": "berkson_porta", "tau": {"angle": 0.0}, "p": {"const_re": 1.0}}
+RADIAL = {"kind": "berkson_porta", "tau": {"re": 0.0, "im": 0.0}, "p": {"const_re": 1.0}}
+TAU_CHECKS = ["half_plane_julia", "nevanlinna_beta"]
+
+
+class TestJuliaWolffAtTau:
+    def test_dilation_below_one(self):
+        rep = run(config_dict(two_atom_corollary_dict(), TAU_CHECKS, BOTH_FPS))
+        julia, beta = rep.checks
+        assert rep.all_passed, [(c.name, c.max_residual, c.notes) for c in rep.checks]
+        assert beta.worst_input["expected"] == math.exp(-0.6)
+        assert abs(beta.worst_input["measured"] - math.exp(-0.6)) <= 1e-8
+        assert julia.max_residual < -1e-3  # strict: the flow is no automorphism
+
+    def test_dilation_one_with_tau_not_listed(self):
+        config = parse_config(json.dumps(config_dict(PARABOLIC, TAU_CHECKS)).encode())
+        ctx = CheckContext(config)
+        julia, beta = (CHECKS[n](ctx) for n in TAU_CHECKS)
+        assert julia.passed and beta.passed, (julia, beta)
+        assert beta.worst_input["expected"] == 1.0
+        assert abs(beta.worst_input["measured"] - 1.0) <= 1e-8
+        # in the half-plane the parabolic flow is w -> w + 2it, so the
+        # margin 1 - Im Phi(w) / Im w is -2t / Im w, largest at Im w = 2
+        assert abs(julia.max_residual + 1.0) <= 1e-8
+        assert {angle for _, _, angle in ctx._dilation_table} == {0.0}
+
+    def test_hyperbolic_equality_case_passes(self):
+        rep = run(config_dict(corollary_field_dict(), TAU_CHECKS, BOTH_FPS))
+        julia, beta = rep.checks
+        assert rep.all_passed
+        assert abs(julia.max_residual) <= 1e-8  # Julia's inequality is an equality
+
+    def test_wrong_expectation_fails(self, monkeypatch):
+        exact = CorollaryField.expected_dilation
+        monkeypatch.setattr(CorollaryField, "expected_dilation",
+                            lambda self, point, s, t: 1.01 * exact(self, point, s, t))
+        (beta,) = run(config_dict(two_atom_corollary_dict(), ["nevanlinna_beta"],
+                                  BOTH_FPS)).checks
+        assert not beta.passed and beta.max_residual > 5e-3
+
+    def test_dilation_above_one_fails_even_when_expected(self, monkeypatch):
+        exact, measured = CorollaryField.expected_dilation, CheckContext.measured_dilation
+        monkeypatch.setattr(CorollaryField, "expected_dilation",
+                            lambda self, point, s, t: 2.0 * exact(self, point, s, t))
+        monkeypatch.setattr(CheckContext, "measured_dilation",
+                            lambda self, s, t, point: 2.0 * measured(self, s, t, point))
+        (beta,) = run(config_dict(two_atom_corollary_dict(), ["nevanlinna_beta"],
+                                  BOTH_FPS)).checks
+        assert not beta.passed
+        assert abs(beta.max_residual - (2.0 * math.exp(-0.6) - 1.0)) <= 1e-8
+
+    def test_too_small_dilation_fails(self, monkeypatch):
+        measured = CheckContext.measured_dilation
+        monkeypatch.setattr(CheckContext, "measured_dilation",
+                            lambda self, s, t, point: 0.9 * measured(self, s, t, point))
+        (julia,) = run(config_dict(corollary_field_dict(), ["half_plane_julia"],
+                                   BOTH_FPS)).checks
+        assert not julia.passed and julia.max_residual > 0.05
+
+    def test_interior_tau_is_not_applicable(self):
+        for c in run(config_dict(RADIAL, TAU_CHECKS)).checks:
+            assert c.to_dict() == {
+                "name": c.name, "pass": True, "max_residual": 0.0,
+                "tolerance_used": DEFAULT_TOLERANCES[c.name], "worst_input": None,
+                "notes": "not applicable: Denjoy-Wolff point inside the disk"}
+
+
+def test_every_check_reads_the_configured_flow():
+    """A check that applies on both seed-1 verify configs must not read the
+    same on both: equal entries mean the check ignores the config."""
+    configs = [BENCH_CONFIGS[w, 1] for w in ("verify_oracle", "verify_dilation")]
+    names = sorted(set(configs[0]["checks"]) & set(configs[1]["checks"]))
+    entries = [{c.name: c.to_dict() for c in run(dict(d, checks=names)).checks}
+               for d in configs]
+    blind = [n for n in names
+             if not any(e[n]["notes"].startswith("not applicable") for e in entries)
+             and all((e[n]["max_residual"], e[n]["worst_input"])
+                     == (entries[0][n]["max_residual"], entries[0][n]["worst_input"])
+                     for e in entries)]
+    assert blind == []

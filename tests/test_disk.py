@@ -15,15 +15,20 @@ from loewner import (
     ConstraintError,
     DomainError,
     MobiusTransform,
-    NevanlinnaRep,
     PoleError,
-    RealAtomicMeasure,
     angular_derivative,
     pseudo_hyperbolic_distance,
 )
-from loewner.measures import nevanlinna_eval
 from conftest import hyperbolic_automorphism, hyperbolic_x
-from reference import build_automorphism, compose, identity, is_disk_automorphism
+from reference import (
+    NevanlinnaRep,
+    RealAtomicMeasure,
+    build_automorphism,
+    compose,
+    identity,
+    is_disk_automorphism,
+    nevanlinna_eval,
+)
 
 PI = math.pi
 
@@ -63,6 +68,21 @@ class TestPoleGuard:
             with pytest.raises(PoleError) as e:
                 evaluate(z)
             assert str(e.value) == message
+
+    @pytest.mark.parametrize("evaluate", [
+        MobiusTransform(1.0, 0.0, 0.0, 1.0).apply,
+        CayleyMap(BoundaryPoint(0.0)).forward,
+        CayleyMap(BoundaryPoint(0.0)).inverse,
+    ])
+    def test_empty_array_maps_to_empty_array(self, evaluate):
+        out = evaluate(np.array([], dtype=complex))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_nan_is_not_a_pole(self):
+        with np.errstate(invalid="ignore"):
+            out = MobiusTransform(0.0, 1.0, 1.0, 0.0).apply(
+                np.array([complex(math.nan, 0.0), 2.0]))
+        assert math.isnan(out[0].real) and out[1] == 0.5
 
     def test_pole_guard_stays_in_disk(self):
         """Only disk constructs a PoleError or spells the pole threshold

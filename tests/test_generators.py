@@ -15,14 +15,11 @@ from loewner import (
     ConfigError,
     CorollaryField,
     DomainError,
-    InfeasibleError,
     MeasureSchedule,
-    RealAtomicMeasure,
     ReciprocalField,
     ScheduleSegment,
     ValidationError,
     angular_derivative,
-    build_three_brfp_map,
     circle_measure,
     field_from_dict,
     null_quotient,
@@ -36,7 +33,14 @@ from conftest import (
     radial_field,
     two_segment_field,
 )
-from reference import corollary_q_eval, herglotz_eval
+from reference import (
+    InfeasibleError,
+    RealAtomicMeasure,
+    build_three_brfp_map,
+    corollary_q_eval,
+    herglotz_eval,
+    nevanlinna_eval,
+)
 
 PI = math.pi
 TARGETS = (BoundaryPoint(PI / 2), BoundaryPoint(3 * PI / 2), BoundaryPoint(0.0))
@@ -291,8 +295,6 @@ class TestThreeBrfpBuild:
 
     def test_transform_fixes_xis(self):
         m = atom_map(0.7)
-        from loewner import nevanlinna_eval
-
         for xi in (-1.0, 1.0):
             assert nevanlinna_eval(m.rep, complex(xi)) == pytest.approx(xi, abs=1e-12)
 
@@ -407,6 +409,14 @@ class TestFieldValidation:
                  "data": [{"angle": 0.0, "alpha": 1.0}]}
             )
         assert e.value.pointer == "/"  # the payload itself
+
+    @pytest.mark.parametrize("tau", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                     complex(math.inf, 0.0), 1.5 + 0j])
+    def test_tau_outside_the_closed_disk_is_rejected(self, tau):
+        with pytest.raises(ValidationError):
+            BerksonPortaField(tau, p_const=1.0)
+        with pytest.raises(ValidationError):
+            ReciprocalField(tau, ((BoundaryPoint(1.0), 1.0),))
 
     def test_corollary_needs_probability_segments(self):
         nu = circle_measure([(PI, 0.5)], excluded_angle=0.0)

@@ -12,16 +12,20 @@ from loewner import (
     CircleAtom,
     DomainError,
     MeasureSchedule,
-    NevanlinnaRep,
     PoleError,
-    RealAtomicMeasure,
     ScheduleSegment,
     ValidationError,
     circle_measure,
-    nevanlinna_eval,
 )
 from loewner.grids import polar_grid, upper_half_plane_grid
-from reference import corollary_q_eval, herglotz_eval, require_probability
+from reference import (
+    NevanlinnaRep,
+    RealAtomicMeasure,
+    corollary_q_eval,
+    herglotz_eval,
+    nevanlinna_eval,
+    require_probability,
+)
 
 PI = math.pi
 
