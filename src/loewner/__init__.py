@@ -23,7 +23,6 @@ from .disk import (
 )
 from .errors import (
     ConfigError,
-    ConstraintError,
     DomainError,
     IntegrationError,
     LoewnerError,

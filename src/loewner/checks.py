@@ -249,16 +249,17 @@ def julia(ctx: CheckContext):
     fps = ctx.config.fixed_points
     if not fps:
         raise NotApplicable("no prescribed fixed points")
-    ev = evolution_map(ctx.field, ctx.s, ctx.t, ctx.tol)
-    grid = disk_grid_100()
-    worst = _Worst()
-    notes = []
+    bounds = []
     for fp in fps:
         expected = ctx.field.expected_dilation(fp.point, ctx.s, ctx.t)
         if expected is None:
             return None, None, f"no finite expected dilation at angle {fp.point.angle}"
-        bound = expected * (1.0 + 1e-6)
-        res = check_julia(ev, fp.point, fp.point, bound, grid)
+        bounds.append(expected * (1.0 + 1e-6))
+    grid = disk_grid_100()
+    images = evolution_map(ctx.field, ctx.s, ctx.t, ctx.tol)(grid)  # once for every point
+    worst, notes = _Worst(), []
+    for fp, bound in zip(fps, bounds):
+        res = check_julia(lambda z: images, fp.point, fp.point, bound, grid)
         notes.append(f"angle {fp.point.angle:.6g}: A={bound:.12g}")
         worst.offer(res.max_violation,
                     {"z": _zdict(res.worst_point), "angle": fp.point.angle})

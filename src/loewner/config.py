@@ -19,16 +19,13 @@ import numpy as np
 
 from .disk import BoundaryPoint, on_circle
 from .errors import ConfigError, DomainError, ValidationError
-from .generators import FieldSpec, field_from_dict
+from .generators import FieldSpec, field_from_dict, match_point, windows
 from .grids import polar_grid
 from .integrate import ToleranceSettings
 from .measures import JsonObject, json_object
 
 ROLE_BRFP = "brfp"
 ROLE_DW = "dw"
-
-#: angular slack when matching configured fixed points to field data
-_MATCH_TOL = 1e-9
 
 #: largest grid (radii x angles) a config may ask for; checked before the
 #: grid is allocated
@@ -117,7 +114,7 @@ def check_schedule_end(spec: FieldSpec, t: float, name: str) -> float:
     try:  # segments are right-open: the last time that matters lies just below t
         spec.frozen_at(math.nextafter(max(t, 0.0), 0.0))
     except DomainError:
-        end = spec.breakpoints(0.0, t)[-1]
+        end = list(windows(spec, 0.0, t))[-1][0]  # the last window starts at the end
         raise ValidationError(f"{name} = {t!r} is past the schedule end {end!r} "
                               "and hold_last is off") from None
     return t
@@ -183,23 +180,24 @@ def _grid(d: dict, ptr: str) -> GridSpec:
 
 
 def _fixed_point(d: dict, ptr: str, spec: FieldSpec, skip_validation: bool) -> FixedPointSpec:
-    """A fixed point; unless validation is skipped, a brfp must sit at one
-    of the field's prescribed null points and a dw at its Denjoy-Wolff
-    point on the circle."""
+    """A fixed point.  Unless validation is skipped, it is the field point
+    that its angle names (``match_point``): for a brfp one of the field's
+    prescribed null points, for a dw its Denjoy-Wolff point on the circle."""
     with JsonObject(d, ptr) as r:
-        fp = FixedPointSpec(BoundaryPoint(r.read("angle", float)), r.read(
-            "expected_role", str, _rule((ROLE_BRFP, ROLE_DW).__contains__,
-                                        "expected_role must be 'brfp' or 'dw'")))
+        point = BoundaryPoint(r.read("angle", float))
+        role = r.read("expected_role", str, _rule((ROLE_BRFP, ROLE_DW).__contains__,
+                                                  "expected_role must be 'brfp' or 'dw'"))
         if skip_validation:
-            return fp
-        if fp.role == ROLE_BRFP:
-            if not any(fp.point.gap(p) <= _MATCH_TOL for p in spec.null_points):
-                raise ValidationError("brfp angle does not match any prescribed sigma")
-        elif not on_circle(spec.tau):
+            return FixedPointSpec(point, role)
+        if role == ROLE_DW and not on_circle(spec.tau):
             raise ValidationError("field has an interior DW point; it cannot be listed by angle")
-        elif fp.point.gap(BoundaryPoint.from_complex(spec.tau)) > _MATCH_TOL:
-            raise ValidationError("dw angle does not match tau")
-        return fp
+        brfp = role == ROLE_BRFP
+        named = match_point(point, spec.null_points if brfp else
+                            (BoundaryPoint.from_complex(spec.tau),))
+        if named is None:
+            raise ValidationError("brfp angle does not match any prescribed sigma" if brfp
+                                  else "dw angle does not match tau")
+        return FixedPointSpec(named, role)
 
 
 def _output(d: dict, ptr: str) -> OutputSpec:

@@ -17,10 +17,6 @@ class ValidationError(LoewnerError, ValueError):
     """A structural invariant of a value object is violated."""
 
 
-class ConstraintError(LoewnerError, ValueError):
-    """A construction problem has no solution for the given data."""
-
-
 class IntegrationError(LoewnerError, RuntimeError):
     """ODE integration could not continue.
 

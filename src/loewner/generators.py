@@ -14,15 +14,16 @@ G(z, t) = (tau - z)(1 - conj(tau) z) p(z, t) with Re p >= 0:
 
 Every variant describes its own field data through one interface, so
 no other module branches on the class: ``tau`` is the Denjoy-Wolff
-point, ``null_points`` the prescribed boundary null points, and
+point, ``null_points`` the prescribed boundary null points,
+``breakpoints(s, t)`` the kernel's switching times in (s, t), and
 ``expected_dilation(point, s, t)`` the dilation of phi_{s,t} at a
-prescribed point, or at tau on the circle, that the data implies (a
-closed form for the corollary variant, the integrated null quotient for
-the other two, whose null quotient vanishes at tau).
-
-The three classes stay apart because their kernels differ in the order
-of their complex products; folding the corollary kernel into the
-generic (tau - z)(1 - conj(tau) z) p form would move floats.
+prescribed point, or at tau on the circle, that the data implies.
+``windows`` cuts [s, t] at the breakpoints for every integrator and
+every time integral; ``exp_integral``, exp of a rate integrated over
+those windows, gives the implied dilations; ``match_point`` names the
+field point that a given circle point stands for.  The classes stay
+apart for their validation, ``to_dict`` and expectations; their kernels
+are one ``KernelData``.
 
 Fields are immutable; evaluation is pure.  Within one schedule segment
 every variant is constant in time, which the integrator exploits via
@@ -183,29 +184,58 @@ def _tau_clear_of_atoms(tau: complex, positions) -> None:
             raise ValidationError("tau coincides with a prescribed boundary point")
 
 
-def _integrated_null_quotient(spec, point: BoundaryPoint, s: float, t: float):
-    """Dilation of phi_{s,t} at a prescribed point implied by the field
-    data: exp of the time integral of the boundary null quotient, taken at
-    each window's midpoint; None where the quotient diverges."""
-    total = 0.0
+#: angular slack within which a circle point names a point of the field data
+MATCH_TOL = 1e-9
+
+
+def match_point(point: BoundaryPoint, candidates):
+    """The first circle point of ``candidates`` within MATCH_TOL of ``point``, or None."""
+    return next((c for c in candidates if point.gap(c) <= MATCH_TOL), None)
+
+
+def windows(spec, s: float, t: float):
+    """The windows (a, b, u) of [s, t] cut at ``spec.breakpoints(s, t)``,
+    in order, each with a < b and u = (a + b)/2, the time its kernel is
+    read at."""
     cuts = [s] + spec.breakpoints(s, t) + [t]
     for a, b in zip(cuts, cuts[1:]):
-        nq = null_quotient(spec, point, 0.5 * (a + b))
-        if nq.diverged:
+        if a < b:
+            yield a, b, 0.5 * (a + b)
+
+
+def exp_integral(spec, s: float, t: float, rate: Callable):
+    """exp of the sum of rate(u) (b - a) over the ``windows`` of [s, t], in
+    order; None as soon as a rate(u) is None."""
+    total = 0.0
+    for a, b, u in windows(spec, s, t):
+        r = rate(u)
+        if r is None:
             return None
-        total += nq.value.real * (b - a)
+        total += r * (b - a)
     return math.exp(total)
+
+
+def _integrated_null_quotient(spec, point: BoundaryPoint, s: float, t: float):
+    """Dilation of phi_{s,t} at a prescribed point implied by the field
+    data: exp of the time integral of the real boundary null quotient;
+    None where the quotient diverges."""
+    def rate(u):
+        nq = null_quotient(spec, point, u)
+        return None if nq.diverged else nq.value.real
+    return exp_integral(spec, s, t, rate)
+
+
+_ORIGIN = BoundaryPoint(0.0)
 
 
 def _corollary_segment_fault(schedule: MeasureSchedule):
     """(index, reason) of the first segment whose measure is not a
     probability measure declaring angle 0 as excluded, or None."""
-    origin = BoundaryPoint(0.0)
     for i, seg in enumerate(schedule.segments):
         mu = seg.measure
         if not mu.is_probability():
             return i, f"probability mass != 1 (total {mu.total_mass!r})"
-        if mu.excluded is None or mu.excluded.gap(origin) > ANGLE_GAP:
+        if mu.excluded is None or mu.excluded.gap(_ORIGIN) > ANGLE_GAP:
             return i, "measure must exclude angle 0"
     return None
 
@@ -349,11 +379,11 @@ class CorollaryField:
         angle pi) at angle 0; None elsewhere.  A non-probability schedule
         forced past validation will disagree with the measured map, which
         is the point of the comparison."""
-        if point.gap(BoundaryPoint(math.pi)) <= 1e-9:
+        (pi,) = self.null_points
+        if match_point(point, (pi,)) is not None:
             return math.exp(t - s)
-        if point.gap(BoundaryPoint(0.0)) <= 1e-9:
-            mass = self.schedule.integrate_mass_at(BoundaryPoint(math.pi), s, t)
-            return math.exp(-mass)
+        if match_point(point, (_ORIGIN,)) is not None:
+            return exp_integral(self, s, t, lambda u: -self.schedule.measure_at(u).mass_at(pi))
         return None
 
     def to_dict(self) -> dict:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationError, NotTangentError, ValidationError
-from .generators import FieldSpec
+from .generators import FieldSpec, windows
 
 # Dormand-Prince 4(5) tableau; the fifth-order solution is propagated and
 # the seventh stage is first-same-as-last.
@@ -291,11 +291,6 @@ def _validate_window(s: float, t: float) -> None:
         raise DomainError(f"need 0 <= s <= t, got s = {s}, t = {t}")
 
 
-def _windows(spec: FieldSpec, s: float, t: float):
-    cuts = [s] + spec.breakpoints(s, t) + [t]
-    return list(zip(cuts, cuts[1:]))
-
-
 def iter_evolve_at(spec: FieldSpec, s: float, times, z,
                    tol: ToleranceSettings | None = None, record: list | None = None):
     """Yield phi_{s,u}(z) for each u in ``times``, integrating once from s.
@@ -319,12 +314,11 @@ def iter_evolve_at(spec: FieldSpec, s: float, times, z,
             raise DomainError("trajectory recording needs a scalar initial point")
         record.append((s, _unwrap(y)))
     now = s
-    for u in times:
-        if u > now:
-            for a, b in _windows(spec, now, u):
-                g = spec.frozen_at(0.5 * (a + b))
-                y = _integrate_window(g, a, b, y, tol, guard=True, record=record)
-            now = u
+    for end in times:
+        if end > now:
+            for a, b, u in windows(spec, now, end):
+                y = _integrate_window(spec.frozen_at(u), a, b, y, tol, guard=True, record=record)
+            now = end
         yield _unwrap(y) if scalar else y.copy()
 
 
@@ -366,12 +360,11 @@ def rk4_oracle(spec: FieldSpec, s: float, t: float, z, n_steps: int):
     if t == s:
         return complex(z) if scalar else np.asarray(z, dtype=complex).copy()
     base = np.linspace(s, t, n_steps + 1)
-    cuts = spec.breakpoints(s, t)
-    grid = np.union1d(base, np.asarray(cuts, dtype=float)) if cuts else base
-    edges = [s] + cuts + [t]
-    for a, b in zip(edges, edges[1:]):
+    parts = list(windows(spec, s, t))
+    grid = np.union1d(base, [a for a, _, _ in parts[1:]]) if len(parts) > 1 else base
+    for a, b, u in parts:
         inside = grid[(grid >= a) & (grid <= b)]
-        y, fail = _rk4_window(spec, 0.5 * (a + b), inside, y)
+        y, fail = _rk4_window(spec, u, inside, y)
         if fail >= 0:
             t1 = inside[fail + 1]
             raise IntegrationError(
@@ -449,9 +442,8 @@ def evolve_on_circle(spec: FieldSpec, s: float, t: float, theta,
             return np.imag(gz).astype(complex)
         return fun
 
-    for a, b in _windows(spec, s, t):
-        fun = wrap(spec.frozen_at(0.5 * (a + b)))
-        y = _integrate_window(fun, a, b, y, tol, guard=False, record=None)
+    for a, b, u in windows(spec, s, t):
+        y = _integrate_window(wrap(spec.frozen_at(u)), a, b, y, tol, guard=False, record=None)
     out = np.real(y)
     return float(out[0]) if scalar else out
 

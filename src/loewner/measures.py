@@ -245,25 +245,7 @@ class MeasureSchedule:
 
     def breakpoints(self, s: float, t: float) -> list[float]:
         """Segment boundaries strictly inside (s, t)."""
-        cuts = [seg.t_end for seg in self.segments[:-1]]
-        cuts.append(self.segments[-1].t_end)
-        return [c for c in cuts if s < c < t]
-
-    def integrate_mass_at(self, point: BoundaryPoint, s: float, t: float) -> float:
-        """Integral over [s, t] of the mass the scheduled measure puts at a
-        circle point; used to track boundary dilations."""
-        if t < s or s < 0.0:
-            raise DomainError(f"bad window [{s}, {t}]")
-        total = 0.0
-        for seg in self.segments:
-            lo, hi = max(s, seg.t_start), min(t, seg.t_end)
-            if hi > lo:
-                total += (hi - lo) * seg.measure.mass_at(point)
-        if t > self.end_time:
-            if not self.hold_last:
-                raise DomainError(f"window end {t} is past the schedule")
-            total += (t - max(s, self.end_time)) * self.segments[-1].measure.mass_at(point)
-        return total
+        return [seg.t_end for seg in self.segments if s < seg.t_end < t]
 
     def to_dict(self) -> dict:
         d = {

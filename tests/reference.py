@@ -33,7 +33,7 @@ from loewner.disk import (
     guard_pole,
     require_interior,
 )
-from loewner.errors import ConstraintError, DomainError, PoleError, ValidationError
+from loewner.errors import DomainError, LoewnerError, PoleError, ValidationError
 from loewner.grids import polar_grid
 from loewner.measures import PROBABILITY_TOL, AtomicCircleMeasure
 
@@ -109,6 +109,10 @@ def is_disk_automorphism(m: MobiusTransform, tol: float = 1e-12, samples: int = 
 def as_mobius(cayley: CayleyMap) -> MobiusTransform:
     t = cayley.tau.value
     return MobiusTransform(1j, 1j * t, -1.0, t)
+
+
+class ConstraintError(LoewnerError, ValueError):
+    """A construction problem has no solution for the given data."""
 
 
 def build_automorphism(

@@ -1,9 +1,10 @@
 import ast
+import cmath
 import json
 import math
 from pathlib import Path
 
-from loewner import CorollaryField, PoleError
+from loewner import BoundaryPoint, CorollaryField, PoleError, collect_stats
 from loewner import checks
 from loewner.checks import (
     CHECK_NAMES,
@@ -289,6 +290,62 @@ class TestJuliaWolffAtTau:
                 "name": c.name, "pass": True, "max_residual": 0.0,
                 "tolerance_used": DEFAULT_TOLERANCES[c.name], "worst_input": None,
                 "notes": "not applicable: Denjoy-Wolff point inside the disk"}
+
+
+class TestDilationTable:
+    def test_a_listed_dw_reads_as_tau(self):
+        # the dw is listed 1e-10 off tau = 1 and is measured at tau itself
+        d = config_dict(corollary_field_dict(), ["dilation_monotone"], [
+            {"angle": PI, "expected_role": "brfp"}, {"angle": 1e-10, "expected_role": "dw"}])
+        ctx = CheckContext(parse_config(json.dumps(d).encode()))
+        monotone = CHECKS["dilation_monotone"](ctx)
+        assert sorted({angle for _, _, angle in ctx._dilation_table}) == [0.0, PI]
+        assert monotone.passed and monotone.worst_input["angle"] == 0.0
+
+    def test_tau_is_swept_once_when_listed_by_an_angle_off_its_phase(self):
+        # tau = cos a + i sin a, whose phase reads back one ulp below a
+        a = 3.5449381747978737
+        assert BoundaryPoint(a).value == cmath.rect(1.0, a)
+        assert BoundaryPoint.from_complex(cmath.rect(1.0, a)).angle == 3.544938174797873
+        field = {"kind": "reciprocal", "tau": {"angle": a},
+                 "data": [{"angle": 0.5, "alpha": 1.0}]}
+        d = config_dict(field, ["chain_rule"], [
+            {"angle": 0.5, "expected_role": "brfp"}, {"angle": a, "expected_role": "dw"}])
+        ctx = CheckContext(parse_config(json.dumps(d).encode()))
+        assert sorted({angle for _, _, angle in ctx._dilation_table}) == [
+            0.5, 3.544938174797873]
+
+
+#: field evaluations of each check on the seed-1 verify configs, counted by
+#: the SolverStats sink with the checks run in name order on one
+#: CheckContext: chain_rule, the first to read the dilation table, fills it
+STEP_BUDGETS = {
+    "verify_dilation": {
+        "arc_lemma": 585, "chain_rule": 2520, "cowen_pommerenke": 0,
+        "dilation_monotone": 0, "dilation_tracking": 0, "disk_invariance": 536,
+        "half_plane_julia": 331, "julia": 643, "nevanlinna_beta": 0,
+        "schwarz_pick": 1538, "semigroup": 2077,
+    },
+    "verify_oracle": {
+        "arc_lemma": 612, "chain_rule": 702, "cowen_pommerenke": 0,
+        "dilation_monotone": 0, "dilation_tracking": 0, "disk_invariance": 1118,
+        "half_plane_julia": 662, "julia": 1166, "nevanlinna_beta": 0,
+        "oracle_agreement": 400740, "schwarz_pick": 2218, "semigroup": 4360,
+    },
+}
+
+
+def test_step_budgets_of_the_bench_configs():
+    spent = {}
+    for workload in sorted(STEP_BUDGETS):
+        config = parse_config(json.dumps(BENCH_CONFIGS[workload, 1]).encode())
+        ctx = CheckContext(config)
+        spent[workload] = {}
+        for name in sorted(config.checks):
+            with collect_stats() as sink:
+                CHECKS[name](ctx)
+            spent[workload][name] = sink.stats.fevals
+    assert spent == STEP_BUDGETS
 
 
 def test_every_check_reads_the_configured_flow():

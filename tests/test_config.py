@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bench_configs import BENCH_CONFIGS
-from loewner import ConfigError, CorollaryField
+from loewner import BoundaryPoint, ConfigError, CorollaryField
 from loewner.checks import CHECK_NAMES, config_digest
 from loewner.config import MAX_GRID_POINTS, RunConfig, emit_config, parse_config
 
@@ -219,6 +219,17 @@ class TestFixedPointConsistency:
         d = variant(fixed_points=[{"angle": PI, "expected_role": "dw"}])
         with pytest.raises(ConfigError):
             parse_config(as_bytes(d))
+
+    def test_a_listed_angle_reads_and_writes_back_as_the_fields_point(self):
+        listed = [{"angle": PI + 5e-10, "expected_role": "brfp"},
+                  {"angle": 2 * PI - 5e-10, "expected_role": "dw"}]
+        cfg = parse_config(as_bytes(variant(fixed_points=listed)))
+        assert [fp.point for fp in cfg.fixed_points] == [BoundaryPoint(PI), BoundaryPoint(0.0)]
+        assert [fp["angle"] for fp in cfg.to_dict()["fixed_points"]] == [PI, 0.0]
+        assert parse_config(emit_config(cfg)) == cfg
+        # without field validation nothing names a field point: the angle stays
+        cfg = parse_config(as_bytes(variant(fixed_points=listed, skip_field_validation=True)))
+        assert [fp.point.angle for fp in cfg.fixed_points] == [PI + 5e-10, 2 * PI - 5e-10]
 
     def test_bad_role_name(self):
         d = variant(fixed_points=[{"angle": PI, "expected_role": "fixed"}])

@@ -12,7 +12,6 @@ import loewner
 from loewner import (
     BoundaryPoint,
     CayleyMap,
-    ConstraintError,
     DomainError,
     MobiusTransform,
     PoleError,
@@ -21,6 +20,7 @@ from loewner import (
 )
 from conftest import hyperbolic_automorphism, hyperbolic_x
 from reference import (
+    ConstraintError,
     NevanlinnaRep,
     RealAtomicMeasure,
     build_automorphism,

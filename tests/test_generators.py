@@ -25,6 +25,7 @@ from loewner import (
     null_quotient,
     pseudo_hyperbolic_distance,
 )
+from loewner.generators import exp_integral, windows
 from loewner.grids import polar_grid
 from conftest import (
     corollary_delta,
@@ -216,10 +217,14 @@ class TestFieldData:
         fld = two_segment_field()
         s, t = 0.25, 1.75
         assert fld.expected_dilation(BoundaryPoint(PI), s, t) == math.exp(t - s)
-        mass = fld.schedule.integrate_mass_at(BoundaryPoint(PI), s, t)
-        assert mass == pytest.approx(0.75)
+        # unit mass at pi on [0, 1), none on [1, 2)
+        mass = 1.0 - s
         assert fld.expected_dilation(BoundaryPoint(0.0), s, t) == math.exp(-mass)
         assert fld.expected_dilation(BoundaryPoint(PI / 2), s, t) is None
+        # a point within MATCH_TOL names the field's point
+        assert fld.expected_dilation(BoundaryPoint(PI + 5e-10), s, t) == math.exp(t - s)
+        assert fld.expected_dilation(BoundaryPoint(-5e-10), s, t) == math.exp(-mass)
+        assert fld.expected_dilation(BoundaryPoint(2e-9), s, t) is None
 
     def test_reciprocal_expected_dilation_integrates_null_quotient(self):
         fld = example_three_atoms()
@@ -243,6 +248,55 @@ class TestFieldData:
                 if name in classes:
                     offenders.append(f"{path.name}:{node.lineno}: {name}")
         assert offenders == []
+
+
+def _callers(tree, name):
+    """The enclosing function of each call of a function or method ``name``."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, ast.FunctionDef):
+            fn = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                    getattr(node.func, "attr", None)):
+            found.append(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+class TestWindows:
+    def test_cut_at_the_breakpoints(self):
+        assert list(windows(two_segment_field(), 0.25, 1.75)) == [
+            (0.25, 1.0, 0.625), (1.0, 1.75, 1.375)]
+        assert list(windows(radial_field(), 0.5, 2.0)) == [(0.5, 2.0, 1.25)]
+
+    def test_a_hold_last_tail_is_one_window(self):
+        fld = corollary_delta(PI, t_end=1.0, hold_last=True)
+        assert list(windows(fld, 0.5, 3.0)) == [(0.5, 1.0, 0.75), (1.0, 3.0, 2.0)]
+        assert fld.expected_dilation(BoundaryPoint(0.0), 0.5, 3.0) == math.exp(-2.5)
+
+    def test_an_empty_interval_has_no_window(self):
+        assert list(windows(two_segment_field(), 1.0, 1.0)) == []
+        assert two_segment_field().expected_dilation(BoundaryPoint(0.0), 2.0, 2.0) == 1.0
+
+    def test_rate_integral_stops_at_a_missing_rate(self):
+        rates = iter([0.5, None])
+        assert exp_integral(two_segment_field(), 0.0, 2.0, lambda u: next(rates)) is None
+        assert exp_integral(two_segment_field(), 0.0, 2.0, lambda u: u) == math.exp(
+            0.5 * 1.0 + 1.5 * 1.0)
+
+    def test_only_windows_reads_breakpoints(self):
+        """The package cuts [s, t] in one place: ``breakpoints`` is called
+        only by ``generators.windows`` and by the fields' own
+        ``breakpoints``, which hand the question to their schedules."""
+        callers = set()
+        for path in sorted(Path(loewner.__file__).parent.glob("*.py")):
+            for fn in _callers(ast.parse(path.read_text()), "breakpoints"):
+                callers.add((path.name, fn))
+        assert callers == {("generators.py", "windows"), ("generators.py", "breakpoints")}
 
 
 class TestThreeBrfpBuild:

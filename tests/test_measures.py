@@ -17,6 +17,7 @@ from loewner import (
     ValidationError,
     circle_measure,
 )
+from loewner.generators import exp_integral
 from loewner.grids import polar_grid, upper_half_plane_grid
 from reference import (
     NevanlinnaRep,
@@ -228,10 +229,16 @@ class TestMeasureSchedule:
         assert self.make().breakpoints(0.0, 0.5) == []
 
     def test_integrate_mass(self):
+        # a schedule has breakpoints, so its windows carry the integral of
+        # the mass its measure puts at a point
         sched = self.make()
-        assert sched.integrate_mass_at(BoundaryPoint(PI), 0.0, 2.0) == pytest.approx(1.0)
-        assert sched.integrate_mass_at(BoundaryPoint(PI), 0.5, 2.0) == pytest.approx(0.5)
-        assert sched.integrate_mass_at(BoundaryPoint(PI / 2), 0.0, 1.0) == pytest.approx(0.0)
+
+        def mass_at(point):
+            return lambda u: sched.measure_at(u).mass_at(point)
+
+        assert exp_integral(sched, 0.0, 2.0, mass_at(BoundaryPoint(PI))) == math.exp(1.0)
+        assert exp_integral(sched, 0.5, 2.0, mass_at(BoundaryPoint(PI))) == math.exp(0.5)
+        assert exp_integral(sched, 0.0, 1.0, mass_at(BoundaryPoint(PI / 2))) == 1.0
 
     def test_json_round_trip(self):
         sched = self.make(hold_last=True)
