@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 
 from .boundary import (
     AngularDerivativeEstimate,
-    ArcLengthResult,
-    JuliaCheckResult,
     angular_derivative,
     check_arc_length,
     check_julia,
@@ -19,7 +17,6 @@ from .disk import (
     CayleyMap,
     MobiusTransform,
     pseudo_hyperbolic_distance,
-    require_interior,
 )
 from .errors import (
     ConfigError,
@@ -34,10 +31,8 @@ from .generators import (
     BerksonPortaField,
     CorollaryField,
     FieldSpec,
-    NullQuotient,
     ReciprocalField,
     field_from_dict,
-    null_quotient,
 )
 from .integrate import (
     EvolutionEvaluator,

@@ -99,18 +99,10 @@ def _estimate(sigma: BoundaryPoint, omega: BoundaryPoint, kept_r,
     return AngularDerivativeEstimate(sigma, omega, normalized.real, raw, error, False)
 
 
-@dataclass(frozen=True)
-class JuliaCheckResult:
-    sigma: BoundaryPoint
-    omega: BoundaryPoint
-    bound: float
-    max_violation: float
-    worst_point: complex
-
-
 def check_julia(map_fn, sigma: BoundaryPoint, omega: BoundaryPoint,
-                bound: float, grid) -> JuliaCheckResult:
-    """Max over the grid of
+                bound: float, grid) -> tuple[float, complex]:
+    """(max violation, the grid point where it occurs): the max over the
+    grid of
     |omega - phi(z)|^2/(1 - |phi(z)|^2) - bound * |sigma - z|^2/(1 - |z|^2).
 
     Nonpositive everywhere iff the bound dominates the boundary
@@ -126,7 +118,7 @@ def check_julia(map_fn, sigma: BoundaryPoint, omega: BoundaryPoint,
     rhs = np.abs(sigma.value - zs) ** 2 / (1.0 - np.abs(zs) ** 2)
     viol = lhs - bound * rhs
     i = int(np.argmax(viol))
-    return JuliaCheckResult(sigma, omega, bound, float(viol[i]), complex(zs[i]))
+    return float(viol[i]), complex(zs[i])
 
 
 def dilation_curve(spec: FieldSpec, sigma: BoundaryPoint, t_grid,
@@ -149,15 +141,6 @@ def dilation_curve(spec: FieldSpec, sigma: BoundaryPoint, t_grid,
     return out
 
 
-@dataclass(frozen=True)
-class ArcLengthResult:
-    len_arc: float
-    len_image: float
-    passed: bool
-    applicable: bool
-    note: str = ""
-
-
 def normalize_fix_origin(map_fn):
     """Post-compose with the disk automorphism sending map(0) to 0."""
     w0 = complex(map_fn(0j))
@@ -166,13 +149,14 @@ def normalize_fix_origin(map_fn):
 
 
 def check_arc_length(map_fn, arc: tuple[float, float],
-                     samples: int = 2048) -> ArcLengthResult:
-    """Compare the length of a boundary arc with the length of its image.
+                     samples: int = 2048) -> tuple[float, float, str]:
+    """(length of a boundary arc, length of its image, note), to compare.
 
     The map must fix 0 (normalize first) and carry the sampled arc to the
-    circle; an off-circle image, or a LoewnerError while evaluating it,
-    yields a not-applicable result rather than a failure.  Lengths come
-    from unwrapped sampled arguments.
+    circle.  An off-circle image, or a LoewnerError while evaluating it,
+    makes the comparison not apply rather than fail: the image length is
+    then NaN and the note says why; it is empty where the comparison
+    applies.  Lengths come from unwrapped sampled arguments.
     """
     theta0, theta1 = (float(v) for v in arc)
     if not theta0 < theta1 or theta1 - theta0 >= 2.0 * math.pi:
@@ -184,12 +168,9 @@ def check_arc_length(map_fn, arc: tuple[float, float],
     try:
         ws = np.asarray(map_fn(np.exp(1j * thetas)))
     except LoewnerError as exc:
-        return ArcLengthResult(len_arc, math.nan, False, False,
-                               f"boundary evaluation failed: {exc}")
+        return len_arc, math.nan, f"boundary evaluation failed: {exc}"
     off = float(np.max(np.abs(np.abs(ws) - 1.0)))
     if off > 1e-8:
-        return ArcLengthResult(len_arc, math.nan, False, False,
-                               f"image leaves the circle by {off:.3g}")
+        return len_arc, math.nan, f"image leaves the circle by {off:.3g}"
     u = np.unwrap(np.angle(ws))
-    len_image = float(np.sum(np.abs(np.diff(u))))
-    return ArcLengthResult(len_arc, len_image, len_arc <= len_image + 1e-6, True)
+    return len_arc, float(np.sum(np.abs(np.diff(u)))), ""

@@ -259,10 +259,9 @@ def julia(ctx: CheckContext):
     images = evolution_map(ctx.field, ctx.s, ctx.t, ctx.tol)(grid)  # once for every point
     worst, notes = _Worst(), []
     for fp, bound in zip(fps, bounds):
-        res = check_julia(lambda z: images, fp.point, fp.point, bound, grid)
+        violation, at = check_julia(lambda z: images, fp.point, fp.point, bound, grid)
         notes.append(f"angle {fp.point.angle:.6g}: A={bound:.12g}")
-        worst.offer(res.max_violation,
-                    {"z": _zdict(res.worst_point), "angle": fp.point.angle})
+        worst.offer(violation, {"z": _zdict(at), "angle": fp.point.angle})
     return worst.residual, worst.where, "; ".join(notes)
 
 
@@ -370,14 +369,13 @@ def arc_lemma(ctx: CheckContext):
     flow = evolution_map(ctx.field, ctx.s, ctx.t, ctx.tol)
     try:
         normalized = normalize_fix_origin(flow)
-        result = check_arc_length(normalized, _DEFAULT_ARC, samples=2048)
+        len_arc, len_image, note = check_arc_length(normalized, _DEFAULT_ARC, samples=2048)
     except LoewnerError as exc:
         raise NotApplicable(f"boundary flow unavailable ({exc})") from exc
-    if not result.applicable:
-        raise NotApplicable(result.note)
-    return (result.len_arc - result.len_image,
-            {"arc": list(_DEFAULT_ARC), "len_arc": result.len_arc,
-             "len_image": result.len_image},
+    if note:
+        raise NotApplicable(note)
+    return (len_arc - len_image,
+            {"arc": list(_DEFAULT_ARC), "len_arc": len_arc, "len_image": len_image},
             "domain arc must not exceed its boundary image in length")
 
 

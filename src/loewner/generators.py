@@ -20,7 +20,8 @@ point, ``null_points`` the prescribed boundary null points,
 prescribed point, or at tau on the circle, that the data implies.
 ``windows`` cuts [s, t] at the breakpoints for every integrator and
 every time integral; ``exp_integral``, exp of a rate integrated over
-those windows, gives the implied dilations; ``match_point`` names the
+those windows, gives the implied dilations, whose rate is the exact
+field derivative ``KernelData.derivative_at``; ``match_point`` names the
 field point that a given circle point stands for.  The classes stay
 apart for their validation, ``to_dict`` and expectations; their kernels
 are one ``KernelData``.
@@ -46,7 +47,6 @@ import numpy as np
 
 from .disk import ANGLE_GAP, BoundaryPoint, on_circle
 from .errors import ConfigError, ValidationError
-from .extrapolate import default_radii, richardson
 from .measures import (
     AtomicCircleMeasure,
     JsonObject,
@@ -147,6 +147,37 @@ class KernelData(NamedTuple):
             return lambda z: (tau - z) * (1.0 - taub * z) / p(z)
         return lambda z: (tau - z) * (1.0 - taub * z) * p(z)
 
+    def derivative_at(self, point: BoundaryPoint):
+        """G'(point) in closed form at a circle point (within ``MATCH_TOL``)
+        where G vanishes: an atom of a ``"reciprocal"`` kernel or tau on
+        the circle.  None elsewhere, and always for ``"corollary"``, whose
+        expectations keep the paper's normalisation.
+
+        With B(z) = (tau - z)(1 - conj(tau) z) and the reciprocal's
+        h(z) = sum_j alpha_j (sigma_j + z)/(sigma_j - z), G = B/h has
+        G'(sigma_k) = -B(sigma_k)/(2 alpha_k sigma_k) = |sigma_k - tau|^2/(2 alpha_k).
+        B vanishes twice at tau on the circle, so G'(tau) = 0 unless h has a
+        zero there (|h(tau)/h'(tau)| <= MATCH_TOL): then G'(tau) =
+        conj(tau)/h'(tau), h'(z) = sum_j 2 alpha_j sigma_j/(sigma_j - z)^2.
+        """
+        if self.kind == "corollary":
+            return None
+        tau, taub = self.tau, self.tau.conjugate()
+        if self.kind == "reciprocal":
+            sigmas = {BoundaryPoint.from_complex(s): (s, a) for s, a in self.atoms}
+            hit = match_point(point, sigmas)
+            if hit is not None:
+                s, alpha = sigmas[hit]
+                return -(tau - s) * (1.0 - taub * s) / (2.0 * alpha * s)
+        if not on_circle(tau) or match_point(point, (BoundaryPoint.from_complex(tau),)) is None:
+            return None
+        if self.kind == "reciprocal":
+            h = _atom_sum(_herglotz_term, self.start, self.atoms)(tau)
+            dh = sum(2.0 * a * s / (s - tau) ** 2 for s, a in self.atoms)
+            if abs(h / dh) <= MATCH_TOL:
+                return taub / dh
+        return 0j
+
 
 def _frozen_at(spec, t: float) -> Callable:
     """G at time t, within one schedule segment constant in time, as a
@@ -215,13 +246,13 @@ def exp_integral(spec, s: float, t: float, rate: Callable):
     return math.exp(total)
 
 
-def _integrated_null_quotient(spec, point: BoundaryPoint, s: float, t: float):
-    """Dilation of phi_{s,t} at a prescribed point implied by the field
-    data: exp of the time integral of the real boundary null quotient;
-    None where the quotient diverges."""
+def _integrated_derivative(spec, point: BoundaryPoint, s: float, t: float):
+    """Dilation of phi_{s,t} at a circle point implied by the field data:
+    exp of the time integral of Re G_u'(point); None where some window's
+    G does not vanish at the point (``KernelData.derivative_at``)."""
     def rate(u):
-        nq = null_quotient(spec, point, u)
-        return None if nq.diverged else nq.value.real
+        d = spec.kernel_data(u).derivative_at(point)
+        return None if d is None else d.real
     return exp_integral(spec, s, t, rate)
 
 
@@ -267,7 +298,7 @@ class BerksonPortaField:
 
     #: the data prescribes no boundary null points
     null_points = ()
-    expected_dilation = _integrated_null_quotient
+    expected_dilation = _integrated_derivative
 
     def breakpoints(self, s: float, t: float) -> list[float]:
         return [] if self.p_schedule is None else self.p_schedule.breakpoints(s, t)
@@ -320,7 +351,7 @@ class ReciprocalField:
                     raise ValidationError("prescribed sigma points must be distinct")
         _tau_clear_of_atoms(self.tau, pts)
 
-    expected_dilation = _integrated_null_quotient
+    expected_dilation = _integrated_derivative
 
     @property
     def null_points(self) -> tuple[BoundaryPoint, ...]:
@@ -406,28 +437,6 @@ def kernel_probe_fields() -> tuple:
         CorollaryField(MeasureSchedule((ScheduleSegment(
             0.0, 1.0, circle_measure(probability, excluded_angle=0.0)),))),
     )
-
-
-@dataclass(frozen=True)
-class NullQuotient:
-    """Radial limit of G(z, t)/(z - sigma); finite at boundary regular
-    null points, with divergence flagged rather than raised."""
-
-    sigma: BoundaryPoint
-    value: complex
-    t: float
-    error: float
-    diverged: bool
-
-
-def null_quotient(spec: FieldSpec, sigma: BoundaryPoint, t: float = 0.0) -> NullQuotient:
-    """The radial limit of G(z, t)/(z - sigma) over the ``default_radii``."""
-    s = sigma.value
-    zs = np.asarray([r * s for r in default_radii()])
-    quotients = spec.frozen_at(t)(zs) / (zs - s)
-    ex = richardson(quotients)
-    diverged = ex.grew_unboundedly or ex.error > 1e-6 * (1.0 + abs(ex.value))
-    return NullQuotient(sigma, ex.value, t, ex.error, diverged)
 
 
 def _tau_to_dict(tau: complex) -> dict:

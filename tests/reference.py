@@ -8,6 +8,10 @@ oracle of the hyperbolic flows; ``identity``, ``compose``,
 ``is_disk_automorphism`` and ``as_mobius`` are the Mobius operations it
 needs.  ``disk_grid_64`` is a test grid.
 
+``null_quotient`` is the radial limit of G(z, t)/(z - sigma) over the
+``default_radii``, the numerical reference that the closed-form field
+derivative ``KernelData.derivative_at`` is compared with.
+
 ``build_three_brfp_map`` builds a self-map of the disk with three
 prescribed boundary regular fixed points from a Nevanlinna transform of
 the upper half-plane (``NevanlinnaRep`` over a ``RealAtomicMeasure``),
@@ -34,6 +38,8 @@ from loewner.disk import (
     require_interior,
 )
 from loewner.errors import DomainError, LoewnerError, PoleError, ValidationError
+from loewner.extrapolate import default_radii, richardson
+from loewner.generators import FieldSpec
 from loewner.grids import polar_grid
 from loewner.measures import PROBABILITY_TOL, AtomicCircleMeasure
 
@@ -167,6 +173,48 @@ def build_automorphism(
 def disk_grid_64() -> np.ndarray:
     """8 radii x 8 angles, staying clear of the boundary."""
     return polar_grid([0.15, 0.3, 0.45, 0.6, 0.72, 0.82, 0.9, 0.95], 8)
+
+
+@dataclass(frozen=True)
+class NullQuotient:
+    """Radial limit of G(z, t)/(z - sigma); finite at boundary regular
+    null points, with divergence flagged rather than raised."""
+
+    sigma: BoundaryPoint
+    value: complex
+    t: float
+    error: float
+    diverged: bool
+
+
+def null_quotient(spec: FieldSpec, sigma: BoundaryPoint, t: float = 0.0) -> NullQuotient:
+    """The radial limit of G(z, t)/(z - sigma) over the ``default_radii``."""
+    s = sigma.value
+    zs = np.asarray([r * s for r in default_radii()])
+    quotients = spec.frozen_at(t)(zs) / (zs - s)
+    ex = richardson(quotients)
+    diverged = ex.grew_unboundedly or ex.error > 1e-6 * (1.0 + abs(ex.value))
+    return NullQuotient(sigma, ex.value, t, ex.error, diverged)
+
+
+def herglotz_zero_angle(pairs, lo: float, hi: float) -> float:
+    """The angle in (lo, hi) of the zero on the circle of
+    h(z) = sum_j alpha_j (sigma_j + z)/(sigma_j - z), sigma_j = exp(i a_j),
+    for (a_j, alpha_j) in ``pairs``, where lo < hi are the angles of two
+    consecutive atoms.  On the circle h(exp(i theta)) is
+    i sum_j alpha_j cot((theta - a_j)/2), which falls from +i inf to -i inf
+    across (lo, hi); bisection runs until the bracket stops shrinking."""
+    def im_h(theta):
+        return sum(alpha / math.tan(0.5 * (theta - a)) for a, alpha in pairs)
+
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if im_h(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 class InfeasibleError(ConstraintError):

@@ -114,24 +114,27 @@ class TestAngularDerivative:
 
 class TestCheckJulia:
     def test_identity_equality(self):
-        res = check_julia(identity_map, ONE, ONE, 1.0, disk_grid_100())
-        assert abs(res.max_violation) < 1e-14
+        violation, _ = check_julia(identity_map, ONE, ONE, 1.0, disk_grid_100())
+        assert abs(violation) < 1e-14
 
     def test_automorphism_equality_everywhere(self):
         m = hyperbolic_automorphism(1.0)
-        res = check_julia(m.apply, MINUS_ONE, MINUS_ONE, math.e, disk_grid_100())
-        assert abs(res.max_violation) < 1e-10
+        violation, _ = check_julia(m.apply, MINUS_ONE, MINUS_ONE, math.e, disk_grid_100())
+        assert abs(violation) < 1e-10
 
     def test_evolved_field_passes_with_measured_bound(self):
         ev = evolution_map(corollary_delta(PI / 2), 0.0, 1.0)
         est = angular_derivative(ev, MINUS_ONE, MINUS_ONE)
-        res = check_julia(ev, MINUS_ONE, MINUS_ONE, est.value * (1 + 1e-6), disk_grid_100())
-        assert res.max_violation <= 0.0
+        violation, _ = check_julia(ev, MINUS_ONE, MINUS_ONE, est.value * (1 + 1e-6),
+                                   disk_grid_100())
+        assert violation <= 0.0
 
     def test_violation_when_bound_too_small(self):
         m = hyperbolic_automorphism(1.0)
-        res = check_julia(m.apply, MINUS_ONE, MINUS_ONE, 1.0, disk_grid_100())
-        assert res.max_violation > 0.1
+        grid = disk_grid_100()
+        violation, at = check_julia(m.apply, MINUS_ONE, MINUS_ONE, 1.0, grid)
+        assert violation > 0.1
+        assert at in grid
 
     def test_bound_validation(self):
         with pytest.raises(DomainError):
@@ -229,9 +232,9 @@ class TestBrfpConsistency:
 class TestArcLength:
     def test_rotation_equality(self):
         rot = MobiusTransform(cmath.exp(0.7j), 0.0, 0.0, 1.0)
-        res = check_arc_length(rot.apply, (0.3, 2.0), samples=512)
-        assert res.applicable and res.passed
-        assert res.len_image == pytest.approx(res.len_arc, abs=1e-12)
+        len_arc, len_image, note = check_arc_length(rot.apply, (0.3, 2.0), samples=512)
+        assert note == "" and len_arc <= len_image + 1e-6
+        assert len_image == pytest.approx(len_arc, abs=1e-12)
 
     def test_three_brfp_map_strict_inequality(self):
         m = build_three_brfp_map(
@@ -240,16 +243,16 @@ class TestArcLength:
         g = normalize_fix_origin(m)
         # the arc through tau = 1 between the sigmas corresponds to the
         # real complement of the support window
-        res = check_arc_length(g, (3 * PI / 2 + 0.3, 5 * PI / 2 - 0.3))
-        assert res.applicable and res.passed
-        assert res.len_image - res.len_arc > 1e-3
+        len_arc, len_image, note = check_arc_length(g, (3 * PI / 2 + 0.3, 5 * PI / 2 - 0.3))
+        assert note == ""
+        assert len_image - len_arc > 1e-3
 
     def test_hyperbolic_automorphism_equality(self):
         m = hyperbolic_automorphism(1.0)
         g = normalize_fix_origin(m.apply)
-        res = check_arc_length(g, (PI / 2, 3 * PI / 2))
-        assert res.applicable and res.passed
-        assert abs(res.len_image - res.len_arc) < 1e-8
+        len_arc, len_image, note = check_arc_length(g, (PI / 2, 3 * PI / 2))
+        assert note == "" and len_arc <= len_image + 1e-6
+        assert abs(len_image - len_arc) < 1e-8
 
     def test_requires_origin_fixed(self):
         m = hyperbolic_automorphism(1.0)
@@ -257,8 +260,9 @@ class TestArcLength:
             check_arc_length(m.apply, (PI / 2, 3 * PI / 2))
 
     def test_off_circle_not_applicable(self):
-        res = check_arc_length(lambda z: 0.5 * z, (0.0, 1.0), samples=64)
-        assert not res.applicable
+        len_arc, len_image, note = check_arc_length(lambda z: 0.5 * z, (0.0, 1.0), samples=64)
+        assert (len_arc, note) == (1.0, "image leaves the circle by 0.5")
+        assert math.isnan(len_image)
 
     def test_only_package_errors_make_it_not_applicable(self):
         def failing_on_arrays(exc):
@@ -268,24 +272,25 @@ class TestArcLength:
                 return z
             return f
 
-        res = check_arc_length(failing_on_arrays(PoleError("pole")), (0.0, 1.0), samples=64)
-        assert not res.applicable
+        _, len_image, note = check_arc_length(failing_on_arrays(PoleError("pole")),
+                                              (0.0, 1.0), samples=64)
+        assert note == "boundary evaluation failed: pole" and math.isnan(len_image)
         with pytest.raises(TypeError):
             check_arc_length(failing_on_arrays(TypeError("bug")), (0.0, 1.0), samples=64)
 
     def test_flow_with_boundary_equality_case(self):
         flow = evolution_map(corollary_delta(PI), 0.0, 1.0)
         g = normalize_fix_origin(flow)
-        res = check_arc_length(g, (PI + 0.2, 2 * PI - 0.2), samples=256)
-        assert res.applicable and res.passed
-        assert res.len_image == pytest.approx(res.len_arc, abs=1e-8)
+        len_arc, len_image, note = check_arc_length(g, (PI + 0.2, 2 * PI - 0.2), samples=256)
+        assert note == "" and len_arc <= len_image + 1e-6
+        assert len_image == pytest.approx(len_arc, abs=1e-8)
 
     def test_flow_with_boundary_strict_case(self, cor_i):
         flow = evolution_map(cor_i, 0.0, 1.0)
         g = normalize_fix_origin(flow)
-        res = check_arc_length(g, (PI + 0.2, 2 * PI - 0.2), samples=256)
-        assert res.applicable and res.passed
-        assert res.len_image > res.len_arc
+        len_arc, len_image, note = check_arc_length(g, (PI + 0.2, 2 * PI - 0.2), samples=256)
+        assert note == ""
+        assert len_image > len_arc
 
 
 class TestHalfPlaneJulia:

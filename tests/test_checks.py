@@ -16,6 +16,7 @@ from loewner.checks import (
 )
 from loewner.config import parse_config
 from bench_configs import BENCH_CONFIGS
+from reference import herglotz_zero_angle
 
 PI = math.pi
 
@@ -290,6 +291,49 @@ class TestJuliaWolffAtTau:
                 "name": c.name, "pass": True, "max_residual": 0.0,
                 "tolerance_used": DEFAULT_TOLERANCES[c.name], "worst_input": None,
                 "notes": "not applicable: Denjoy-Wolff point inside the disk"}
+
+
+#: (angle, alpha) atoms of a reciprocal field with a hyperbolic tau
+HYPERBOLIC_ATOMS = ((0.7, 0.5), (2.4, 1.5), (4.4, 0.6))
+#: the zero of h between the first two atoms
+HYPERBOLIC_TAU = herglotz_zero_angle(HYPERBOLIC_ATOMS, 0.7, 2.4)
+
+
+def hyperbolic_config(tau_angle, checks):
+    """The reciprocal field of HYPERBOLIC_ATOMS with tau at ``tau_angle``,
+    every sigma and tau listed."""
+    field = {"kind": "reciprocal", "tau": {"angle": tau_angle},
+             "data": [{"angle": a, "alpha": w} for a, w in HYPERBOLIC_ATOMS]}
+    fps = [{"angle": a, "expected_role": "brfp"} for a, _ in HYPERBOLIC_ATOMS]
+    return config_dict(field, checks, fps + [{"angle": tau_angle, "expected_role": "dw"}])
+
+
+class TestHyperbolicTau:
+    """tau of a reciprocal field at a zero of h: p = 1/h has a pole there,
+    so tau is hyperbolic and G'(tau) = conj(tau)/h'(tau) < 0."""
+
+    def test_all_checks_pass(self):
+        rep = run(hyperbolic_config(HYPERBOLIC_TAU, REGISTRY))
+        by_name = {c.name: c for c in rep.checks}
+        assert rep.all_passed, [(c.name, c.max_residual, c.notes) for c in rep.checks]
+        # a pole of G, another zero of h, lies on the arc
+        assert by_name["arc_lemma"].notes.startswith("not applicable")
+        beta = by_name["nevanlinna_beta"]
+        # the data-implied dilation is exp(G'(tau)) at t = 1, not the parabolic 1
+        assert abs(beta.worst_input["expected"] - 0.8700588914) <= 1e-10
+        assert beta.max_residual <= 1e-9
+
+    def test_a_tau_just_off_the_zero_is_parabolic(self):
+        # 1e-7 off the zero of h, p is bounded at tau and G'(tau) = 0, but the
+        # finest radius 1 - 2^-20 does not resolve the pole 1e-7 away: the
+        # measured dilation reads the hyperbolic one
+        theta = HYPERBOLIC_TAU + 1e-7
+        config = parse_config(json.dumps(hyperbolic_config(theta, ["nevanlinna_beta"])).encode())
+        assert config.field.kernel_data(0.0).derivative_at(BoundaryPoint(theta)) == 0
+        (beta,) = run_verify(config).checks
+        assert not beta.passed
+        assert beta.worst_input["expected"] == 1.0
+        assert abs(beta.worst_input["measured"] - 0.8700603874) <= 1e-8
 
 
 class TestDilationTable:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loewner
@@ -22,11 +22,11 @@ from loewner import (
     angular_derivative,
     circle_measure,
     field_from_dict,
-    null_quotient,
     pseudo_hyperbolic_distance,
 )
-from loewner.generators import exp_integral, windows
+from loewner.generators import MATCH_TOL, exp_integral, kernel_probe_fields, windows
 from loewner.grids import polar_grid
+from bench_configs import BENCH_CONFIGS
 from conftest import (
     corollary_delta,
     example_three_atoms,
@@ -40,7 +40,9 @@ from reference import (
     build_three_brfp_map,
     corollary_q_eval,
     herglotz_eval,
+    herglotz_zero_angle,
     nevanlinna_eval,
+    null_quotient,
 )
 
 PI = math.pi
@@ -202,6 +204,98 @@ class TestNullQuotient:
             assert nq.value.real == pytest.approx(1.0 / (2.0 * alpha), rel=1e-7)
 
 
+def bench_reciprocal_fields():
+    """The reciprocal fields of the seed-1 and seed-7 verify_dilation configs."""
+    return [field_from_dict(BENCH_CONFIGS["verify_dilation", seed]["field"]) for seed in (1, 7)]
+
+
+@st.composite
+def hyperbolic_reciprocal_fields(draw):
+    """A reciprocal field of two to five atoms whose tau on the circle is a
+    zero of h, in a gap between two atoms drawn at random."""
+    angles = sorted(draw(st.lists(st.floats(0.0, 2 * PI - 0.2), min_size=2, max_size=5)))
+    gaps = [b - a for a, b in zip(angles, angles[1:] + [angles[0] + 2 * PI])]
+    assume(min(gaps) >= 0.2)
+    weights = draw(st.lists(st.floats(0.2, 3.0), min_size=len(angles), max_size=len(angles)))
+    pairs = list(zip(angles, weights))
+    k = draw(st.integers(0, len(angles) - 1))
+    theta = herglotz_zero_angle(pairs, angles[k], angles[k] + gaps[k])
+    return ReciprocalField(BoundaryPoint(theta).value,
+                           tuple((BoundaryPoint(a), w) for a, w in pairs))
+
+
+class TestDerivativeAt:
+    """The closed-form field derivative ``KernelData.derivative_at``
+    against the radial reference ``null_quotient``."""
+
+    def test_atoms_match_the_radial_limit(self):
+        for fld in bench_reciprocal_fields() + [example_three_atoms()]:
+            kd = fld.kernel_data(0.0)
+            for sigma, alpha in fld.data:
+                exact = kd.derivative_at(sigma)
+                assert exact == pytest.approx(abs(sigma.value - fld.tau) ** 2 / (2.0 * alpha),
+                                              rel=1e-14)
+                radial = null_quotient(fld, sigma)
+                assert not radial.diverged
+                assert abs(radial.value - exact) <= 1e-10 * abs(exact)
+
+    def test_a_parabolic_tau_has_rate_zero(self):
+        # reciprocal (bench), bp_const and bp_herglotz fields with tau on the circle
+        fields = bench_reciprocal_fields() + [parabolic_field(), kernel_probe_fields()[1]]
+        for fld in fields:
+            tau = BoundaryPoint.from_complex(fld.tau)
+            assert fld.kernel_data(0.0).derivative_at(tau) == 0
+            radial = null_quotient(fld, tau)
+            assert not radial.diverged
+            assert abs(radial.value) <= 1e-8
+
+    def test_none_where_g_does_not_vanish(self):
+        one = BoundaryPoint(0.0)
+        assert radial_field().kernel_data(0.0).derivative_at(one) is None
+        assert null_quotient(radial_field(), one).diverged
+        # off the atoms and tau; and the corollary keeps its own normalisation
+        assert example_three_atoms().kernel_data(0.0).derivative_at(BoundaryPoint(1.0)) is None
+        assert parabolic_field().kernel_data(0.0).derivative_at(BoundaryPoint(1.0)) is None
+        assert corollary_delta(PI).kernel_data(0.5).derivative_at(BoundaryPoint(PI)) is None
+
+    def test_points_match_within_match_tol(self):
+        kd = example_three_atoms().kernel_data(0.0)
+        assert kd.derivative_at(BoundaryPoint(0.5 * MATCH_TOL)) == kd.derivative_at(
+            BoundaryPoint(0.0))
+        assert kd.derivative_at(BoundaryPoint(2.0 * MATCH_TOL)) is None
+        par = parabolic_field().kernel_data(0.0)
+        assert par.derivative_at(BoundaryPoint(-0.5 * MATCH_TOL)) == 0
+        assert par.derivative_at(BoundaryPoint(2.0 * MATCH_TOL)) is None
+
+    @given(hyperbolic_reciprocal_fields())
+    @settings(max_examples=60, deadline=None)
+    def test_a_hyperbolic_tau_balances_the_atoms(self, fld):
+        """With tau at a zero of h, sum_j 1/G'(sigma_j) = -1/G'(tau): the
+        two sides are sum_j 2 alpha_j/|sigma_j - tau|^2 from the atom and
+        the tau formulas."""
+        kd = fld.kernel_data(0.0)
+        d_tau = kd.derivative_at(BoundaryPoint.from_complex(fld.tau))
+        assert d_tau.real < 0.0  # attracting: a hyperbolic Denjoy-Wolff point
+        lhs = sum(1.0 / kd.derivative_at(sigma) for sigma, _ in fld.data)
+        assert abs(lhs + 1.0 / d_tau) <= 1e-12 * abs(1.0 / d_tau)
+
+    def test_only_boundary_imports_extrapolate(self):
+        """The package keeps one radial limit, the measurement's: only
+        ``boundary`` imports ``extrapolate``."""
+        importers = set()
+        for path in sorted(Path(loewner.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                if any(n.rsplit(".", 1)[-1] == "extrapolate" for n in names):
+                    importers.add(path.name)
+        assert importers == {"boundary.py"}
+
+
 class TestFieldData:
     def test_tau_and_null_points(self):
         cor = corollary_delta(PI)
@@ -227,10 +321,11 @@ class TestFieldData:
         assert fld.expected_dilation(BoundaryPoint(2e-9), s, t) is None
 
     def test_reciprocal_expected_dilation_integrates_null_quotient(self):
+        # the null quotient G'(sigma) = 1/(2 alpha) of tau = 0, in closed form
         fld = example_three_atoms()
         for sigma, alpha in fld.data:
             expected = fld.expected_dilation(sigma, 0.5, 1.5)
-            assert expected == pytest.approx(math.exp(1.0 / (2.0 * alpha)), rel=1e-7)
+            assert expected == pytest.approx(math.exp(1.0 / (2.0 * alpha)), rel=1e-14)
         assert radial_field().expected_dilation(BoundaryPoint(0.0), 0.0, 1.0) is None
 
     def test_field_classes_stay_in_generators(self):
