@@ -22,6 +22,11 @@
  *     Python's float ** is libm pow, min(a, b) is b < a ? b : a and
  *     max(a, b) is b > a ? b : a, evaluated left to right.
  *
+ * The points' chains are independent: no point's arithmetic reads
+ * another's, and only the test after a whole step looks at all of them.
+ * So rk4_window runs each RK4 stage over all points, as numpy does, and
+ * the CPU overlaps the divisions of neighbouring points.
+ *
  * The loader (_rk4.py) probes all of this against numpy at load time and
  * uses numpy instead if any bit differs.
  */
@@ -136,27 +141,35 @@ INLINE cplx eval(const field *f, cplx z)
 }
 
 /* Advance the n points y over grid[0] < ... < grid[nt - 1] with the field
- * of the given kind.  Returns -1, or the index i of the first step
- * grid[i] -> grid[i + 1] after which max|y| >= 1; y then holds the state
- * after that step. */
+ * of the given kind; work holds 3n points, for k1, k2 and k3.  Returns -1,
+ * or the index i of the first step grid[i] -> grid[i + 1] after which
+ * max|y| >= 1; y then holds the state after that step.
+ *
+ * Each stage runs over all points before the next one starts.  A point's
+ * stages are one serial chain of divisions, but the chains of different
+ * points are independent, so running a stage across the points lets the
+ * CPU overlap them (about half the time of point-by-point order on 16
+ * points).  k4 is used only where it is computed. */
 DISPATCH long rk4_window(int kind, const double *tau, const double *start,
                 const double *atoms, long m, const double *grid, long nt,
-                double *state, long n)
+                double *state, double *work, long n)
 {
     field f = {kind, {tau[0], tau[1]}, {tau[0], -tau[1]}, {start[0], start[1]},
                (const cplx *)atoms, m};
-    cplx *y = (cplx *)state;
+    cplx *y = (cplx *)state, *k1 = (cplx *)work, *k2 = k1 + n, *k3 = k2 + n;
     for (long i = 0; i + 1 < nt; i++) {
         double h = grid[i + 1] - grid[i];
         cplx half = real(0.5 * h), full = real(h), sixth = real(h / 6.0);
+        for (long p = 0; p < n; p++)
+            k1[p] = eval(&f, y[p]);
+        for (long p = 0; p < n; p++)
+            k2[p] = eval(&f, add(y[p], mul(half, k1[p])));
+        for (long p = 0; p < n; p++)
+            k3[p] = eval(&f, add(y[p], mul(half, k2[p])));
         for (long p = 0; p < n; p++) {
-            cplx w = y[p];
-            cplx k1 = eval(&f, w);
-            cplx k2 = eval(&f, add(w, mul(half, k1)));
-            cplx k3 = eval(&f, add(w, mul(half, k2)));
-            cplx k4 = eval(&f, add(w, mul(full, k3)));
-            cplx k = add(add(add(k1, mul(real(2.0), k2)), mul(real(2.0), k3)), k4);
-            y[p] = add(w, mul(sixth, k));
+            cplx k4 = eval(&f, add(y[p], mul(full, k3[p])));
+            cplx k = add(add(add(k1[p], mul(real(2.0), k2[p])), mul(real(2.0), k3[p])), k4);
+            y[p] = add(y[p], mul(sixth, k));
         }
         if (max_modulus(y, n) >= 1.0)
             return i;

@@ -18,6 +18,16 @@ differing bit, ``load`` returns no windows and the reason, and
 ``integrate`` runs both integrators on numpy and reports the reason in
 its ``SolverStats``.
 
+The probe runs once per build and environment.  Its verdict, "pass" or
+what differed, is written next to the library as ``rk4-<key>.verdict``,
+in the same atomic way, under a digest of the library's bytes, the
+sources of the numpy side (``_rk4``, ``integrate``, ``generators``), the
+numpy and Python versions, the machine, the libc version and numpy's
+enabled CPU features.  A process whose digest matches takes the verdict
+without probing; a missing, unreadable or corrupt verdict, or one of
+another digest, runs the probe again and rewrites the file.  A new build
+removes the verdicts of other keys with their libraries.
+
 A Dormand-Prince window writes the rows it records into a buffer of
 ``_ROWS`` rows; when the buffer is full, the window returns with its
 controller state saved and the next call continues it, so the buffer
@@ -31,6 +41,7 @@ import hashlib
 import math
 import os
 import shutil
+import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,6 +51,9 @@ _SOURCE = Path(__file__).with_name("_rk4.c")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _KINDS = {"bp_const": 0, "bp_herglotz": 1, "reciprocal": 2, "corollary": 3}
+#: the modules whose numpy loops and fields the probe compares against
+_PROBED = tuple(_SOURCE.with_name(f"{m}.py") for m in ("_rk4", "integrate", "generators"))
+_PASS = "pass"  # the verdict of a probe that found every bit equal
 
 _ROWS = 256  # rows one call of the DP window records before it returns
 _ROWS_FULL = 1
@@ -77,7 +91,7 @@ def load():
 
 def _load():
     try:
-        lib = _library()
+        lib, path = _library()
     except OSError as exc:
         return None, str(exc)
     import ctypes
@@ -86,7 +100,7 @@ def _load():
 
     ptr, n, i = ctypes.c_void_p, ctypes.c_long, ctypes.c_int
     rk4_window = lib.rk4_window
-    rk4_window.argtypes = (i, ptr, ptr, ptr, n, ptr, n, ptr, n)
+    rk4_window.argtypes = (i, ptr, ptr, ptr, n, ptr, n, ptr, ptr, n)
     rk4_window.restype = n
     dp_window = lib.dp_window
     dp_window.argtypes = (i, ptr, ptr, ptr, n, ptr, ptr, ptr, ptr, ptr, ptr, n, ptr, ptr, n, i)
@@ -99,8 +113,9 @@ def _load():
     def rk4(data, grid, y):
         tau, start, atoms = _packed(data, y)
         grid = np.ascontiguousarray(grid, dtype=float)
+        work = np.empty(3 * y.size, dtype=complex)
         return rk4_window(_KINDS[data.kind], *_addresses(tau, start, atoms), len(atoms),
-                          grid.ctypes.data, len(grid), y.ctypes.data, y.size)
+                          *_addresses(grid), len(grid), *_addresses(y, work), y.size)
 
     def dp(data, t0, t1, y, tol, guard, record, tally):
         tau, start, atoms = _packed(data, y)
@@ -129,8 +144,9 @@ def _load():
         failure = _FAILURES.get(status, "")
         return t, guard_h if failure == "boundary_guard" else h, failure
 
-    fault = _probe(Windows(rk4, dp), lambda y: max_abs(y.ctypes.data, y.size))
-    return (None, fault) if fault else (Windows(rk4, dp), "")
+    windows = Windows(rk4, dp)
+    fault = _verdict(path, lambda: _probe(windows, lambda y: max_abs(y.ctypes.data, y.size)))
+    return (None, fault) if fault else (windows, "")
 
 
 def _packed(data, y) -> tuple:
@@ -159,7 +175,8 @@ def _cache_dir() -> Path:
 
 
 def _library():
-    """The compiled library, built into the cache if it is not there."""
+    """The compiled library and its path, built into the cache if it is
+    not there."""
     import ctypes
 
     source = _SOURCE.read_bytes()
@@ -169,36 +186,86 @@ def _library():
     path = cache / f"rk4-{key}.so"
     if not path.exists():
         _compile(command, source, path)
-        for stale in cache.glob("rk4-*.so"):  # temporaries are named .rk4-*
-            if stale != path:
+        for stale in cache.glob("rk4-*"):  # temporaries are named .rk4-*
+            if stale.stem != path.stem:  # another key's library or verdict
                 with contextlib.suppress(OSError):
                     stale.unlink()
-    return ctypes.CDLL(str(path))
+    return ctypes.CDLL(str(path)), path
 
 
 def _compile(command, source: bytes, path: Path) -> None:
     """Compile the source bytes, which were hashed, from standard input
     into a temporary file next to path, then move it to path."""
     import subprocess
-    import tempfile
 
     if shutil.which(command[0]) is None:
         raise OSError(f"no C compiler found ({command[0]})")
-    fd, tmp = tempfile.mkstemp(prefix=".rk4-", suffix=".so", dir=path.parent)
-    os.close(fd)
     try:
-        done = subprocess.run([*command, "-o", tmp, "-x", "c", "-"], input=source,
-                              capture_output=True, timeout=120)
-        if done.returncode != 0:
-            err = done.stderr.decode(errors="replace").strip().splitlines()
-            raise OSError(f"{command[0]} failed on {_SOURCE.name}: "
-                          f"{err[0] if err else f'exit {done.returncode}'}")
-        os.replace(tmp, path)
+        with _replacing(path) as tmp:
+            done = subprocess.run([*command, "-o", tmp, "-x", "c", "-"], input=source,
+                                  capture_output=True, timeout=120)
+            if done.returncode != 0:
+                err = done.stderr.decode(errors="replace").strip().splitlines()
+                raise OSError(f"{command[0]} failed on {_SOURCE.name}: "
+                              f"{err[0] if err else f'exit {done.returncode}'}")
     except subprocess.TimeoutExpired as exc:
         raise OSError(f"{command[0]} did not finish: {exc}") from None
+
+
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A temporary file next to path, named .rk4-*, moved to path if the
+    block succeeds and removed if it fails."""
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(prefix=".rk4-", suffix=path.suffix, dir=path.parent)
+    os.close(fd)
+    try:
+        yield tmp
+        os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _verdict(library: Path, probe) -> str:
+    """The probe's result, '' or what differed, for this library in this
+    environment: read from the verdict file next to the library when its
+    digest matches, else run the probe and write the verdict there."""
+    path = library.with_suffix(".verdict")
+    try:
+        key = _probe_key(library)
+    except OSError:  # a file of the key went away: probe, but cache nothing
+        return probe()
+    with contextlib.suppress(OSError, ValueError):
+        digest, verdict, end = path.read_text().split("\n")
+        if not end and digest == _digest(key, verdict):
+            return "" if verdict == _PASS else verdict
+    fault = probe()
+    verdict = fault or _PASS
+    with contextlib.suppress(OSError), _replacing(path) as tmp:
+        Path(tmp).write_text(f"{_digest(key, verdict)}\n{verdict}\n")
+    return fault
+
+
+def _probe_key(library: Path) -> bytes:
+    """Everything the probe's verdict depends on: the library's bytes, the
+    Python side it is compared with, and the environment of the numpy side
+    (numpy, Python, the machine, libc and numpy's enabled CPU features)."""
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    features = sorted(k for k, on in getattr(umath, "__cpu_features__", {}).items() if on)
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (ValueError, OSError):
+        libc = ""
+    env = (np.__version__, sys.version, os.uname().machine, libc, " ".join(features))
+    files = (hashlib.sha256(p.read_bytes()).digest() for p in (library, *_PROBED))
+    return b"".join(files) + "\0".join(env).encode()
+
+
+def _digest(key: bytes, verdict: str) -> str:
+    return hashlib.sha256(key + b"\0" + verdict.encode()).hexdigest()
 
 
 def _probe(windows: Windows, max_abs) -> str:

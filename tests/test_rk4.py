@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,12 +132,79 @@ class KernelField:
     def frozen_at(self, t):
         return self.data.kernel()
 
+    def kernel_data(self, t):
+        return self.data
+
 
 #: G = z: the flow z e^t leaves the disk at t = -log|z|
 OUTWARD = KernelField(KernelData("bp_const", 0j, -1.0 + 0j, ()))
 #: the term -1/(1 + 2z) puts a pole at z = -1/2 into the disk, and the
 #: flow from -0.2 runs into it at t = 0.32 with unbounded speed
 INTERIOR_POLE = KernelField(KernelData("corollary", 1.0 + 0j, 0j, ((2.0 + 0j, -1.0 + 0j),)))
+
+
+#: G = -z (-2 + 0.3 (2 + z) / (2 - z)) pushes every point out at a rate
+#: between 1.7 and 1.9, through a division per evaluation
+OUTWARD_HERGLOTZ = KernelField(KernelData("bp_herglotz", 0j, -2.0 + 0j, ((2.0 + 0j, 0.3 + 0j),)))
+SHAPES = {"2": (2,), "17": (17,), "48": (48,), "4x4": (4, 4)}
+
+
+def _spread(shape, modulus):
+    """Points of the given modulus, spread over the angles."""
+    n = math.prod(shape)
+    return (modulus * np.exp(1j * np.linspace(0.3, 6.0, n))).reshape(shape)
+
+
+def _oracle_both(monkeypatch, fld, z, n_steps):
+    """(result or IntegrationError, stats) of rk4_oracle on the compiled
+    path, then on numpy."""
+    runs = []
+    for forced in (False, True):
+        if forced:
+            on_numpy(monkeypatch)
+        with collect_stats() as sink:
+            try:
+                result = rk4_oracle(fld, 0.0, 1.0, z, n_steps)
+            except IntegrationError as exc:
+                result = exc
+        runs.append((result, sink.stats))
+    (fast, fast_stats), (slow, slow_stats) = runs
+    assert (fast_stats.rk4_backend, slow_stats.rk4_backend) == ("c", "numpy")
+    assert dataclasses.replace(fast_stats, rk4_backend="", rk4_fallback="") == \
+        dataclasses.replace(slow_stats, rk4_backend="", rk4_fallback="")
+    return fast, slow, fast_stats
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+def test_one_point_leaving_mid_window_fails_alike(monkeypatch, shape):
+    """The RK4 window runs each stage over all points: the step after which
+    one point is outside is found as in numpy, with every other point's
+    state at that step, although they are all still inside."""
+    require_compiled()
+    z = _spread(shape, 0.15)
+    z.flat[-2] = 0.6j  # leaves at t = 0.29; the others are below 0.25 then
+    fast, slow, stats = _oracle_both(monkeypatch, OUTWARD_HERGLOTZ, z, 300)
+    assert isinstance(fast, IntegrationError) and isinstance(slow, IntegrationError)
+    assert (str(fast), fast.t, fast.reason, fast.window, fast.last_h) == (
+        str(slow), slow.t, slow.reason, slow.window, slow.last_h)
+    assert fast.w.shape == shape and fast.w.tobytes() == slow.w.tobytes()
+    assert fast.reason == "left_disk" and 0.2 < fast.t < 0.4
+    assert abs(fast.w.flat[-2]) >= 1.0 and np.abs(np.delete(fast.w, -2)).max() < 0.3
+    assert stats.rejected_guard == 1 and stats.fevals == 4 * (stats.accepted + 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+def test_a_nan_point_runs_alike(monkeypatch, shape):
+    """A NaN point stays NaN and never trips the disk test, in numpy's
+    max as in the compiled one; the other points run to the end."""
+    require_compiled()
+    fld, _ = FIELDS["reciprocal"]
+    z = _spread(shape, 0.8)
+    z.flat[len(z.flat) // 2] = complex(np.nan, 0.25)
+    fast, slow, _ = _oracle_both(monkeypatch, fld, z, 300)
+    assert fast.shape == shape and fast.tobytes() == slow.tobytes()
+    assert np.isnan(fast).sum() == 1 and np.abs(fast[~np.isnan(fast)]).max() < 1.0
 
 
 def _bits(rows):
@@ -328,19 +396,26 @@ def test_second_process_loads_the_cache_without_compiling(tmp_path):
     assert first.stdout.strip() == "c", first.stderr
     cache = tmp_path / "loewner"
     built = sorted(cache.iterdir())
-    assert len(built) == 1 and built[0].suffix == ".so"
+    # the library and the verdict of its probe, under one key
+    assert [p.suffix for p in built] == [".so", ".verdict"] and built[0].stem == built[1].stem
+    assert built[1].read_text().endswith("\npass\n")
+    contents = [p.read_bytes() for p in built]
     assert oct(cache.stat().st_mode & 0o777) == "0o700"
     # no compiler on the PATH: only the cached library can give "c"
     second = _backend_in_child(dict(env, PATH=str(tmp_path / "empty")))
     assert second.stdout.strip() == "c", second.stderr
     assert sorted(cache.iterdir()) == built
+    assert [p.read_bytes() for p in built] == contents
 
 
 def test_a_new_build_removes_stale_libraries(tmp_path):
     cache = tmp_path / "loewner"
     cache.mkdir(mode=0o700)
     (cache / "rk4-0000000000000000.so").write_bytes(b"library of an older source")
+    (cache / "rk4-0000000000000000.verdict").write_text("digest\npass\n")
+    (cache / "rk4-1111111111111111.verdict").write_text("digest\npass\n")
     (cache / ".rk4-concurrent.so").write_bytes(b"a build in progress")
+    (cache / ".rk4-concurrent.verdict").write_bytes(b"a verdict being written")
     (cache / "rk4-undeletable.so").mkdir()  # unlink fails: the load must not
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=SRC)
     child = _backend_in_child(env)
@@ -349,8 +424,155 @@ def test_a_new_build_removes_stale_libraries(tmp_path):
     assert child.stdout.strip() == "c", child.stderr
     left = sorted(p.name for p in cache.iterdir())
     built = [n for n in left if n.startswith("rk4-") and n != "rk4-undeletable.so"]
-    assert len(built) == 1 and built[0] != "rk4-0000000000000000.so"
-    assert left == sorted([".rk4-concurrent.so", built[0], "rk4-undeletable.so"])
+    assert len(built) == 2 and built[0].endswith(".so") and not built[0].startswith("rk4-0000")
+    assert built[1] == built[0].replace(".so", ".verdict")
+    assert left == sorted([".rk4-concurrent.so", ".rk4-concurrent.verdict", *built,
+                           "rk4-undeletable.so"])
+
+
+@pytest.fixture(scope="module")
+def built_library(tmp_path_factory):
+    """A library compiled once into a cache of its own."""
+    root = tmp_path_factory.mktemp("built")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(root))
+        try:
+            _, path = _rk4._library()
+        except OSError as exc:
+            if str(exc).startswith("no C compiler"):
+                pytest.skip(str(exc))
+            raise
+    return path
+
+
+@pytest.fixture
+def cache(monkeypatch, tmp_path, built_library):
+    """A private cache directory holding a copy of the built library and no
+    verdict; the probes that run are listed in ``probes``."""
+    path = tmp_path / "loewner"
+    path.mkdir(mode=0o700)
+    (path / built_library.name).write_bytes(built_library.read_bytes())
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    probes, probe = [], _rk4._probe
+
+    def counted(*args):
+        probes.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(_rk4, "_probe", counted)
+    return SimpleNamespace(dir=path, verdict=path / built_library.with_suffix(".verdict").name,
+                           probes=probes)
+
+
+def _no_probe(*args):
+    pytest.fail("the probe ran although the verdict was cached")
+
+
+def test_a_matching_verdict_skips_the_probe(monkeypatch, cache):
+    run, reason = _rk4._load()
+    assert run is not None and reason == "" and len(cache.probes) == 1
+    assert cache.verdict.read_text().endswith("\npass\n")
+    monkeypatch.setattr(_rk4, "_probe", _no_probe)
+    run, reason = _rk4._load()
+    assert run is not None and reason == ""
+    y = STATES["sixteen"].copy()
+    assert run.rk4(kernel_probe_fields()[1].kernel_data(0.5), np.linspace(0, 0.1, 5), y) == -1
+
+
+#: a change to each part of the verdict's key besides the library
+KEY_CHANGES = {
+    "numpy": lambda mp: mp.setattr(np, "__version__", "0.0.0"),
+    "python": lambda mp: mp.setattr(sys, "version", sys.version + " other build"),
+    "machine": lambda mp: mp.setattr(os, "uname", lambda: type("U", (), {"machine": "m68k"})),
+    "libc": lambda mp: mp.setattr(os, "confstr", lambda name: "glibc 0.1"),
+    "cpu-features": lambda mp: mp.setattr(_umath(), "__cpu_features__", {"SSE2": True}),
+    "numpy-side-source": lambda mp: mp.setattr(_rk4, "_PROBED", _rk4._PROBED[:-1]),
+}
+
+
+def _umath():
+    """numpy's extension module that lists its enabled CPU features."""
+    return (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules["numpy.core._multiarray_umath"])
+
+
+@pytest.mark.parametrize("change", KEY_CHANGES)
+def test_a_changed_key_reruns_the_probe(monkeypatch, cache, change):
+    _rk4._load()
+    before = cache.verdict.read_text()
+    with monkeypatch.context() as mp:
+        KEY_CHANGES[change](mp)
+        run, reason = _rk4._load()
+        after = cache.verdict.read_text()
+        assert run is not None and reason == "" and len(cache.probes) == 2
+        assert after != before and after.endswith("\npass\n")
+        mp.setattr(_rk4, "_probe", _no_probe)  # the rewritten verdict now matches
+        assert _rk4._load()[1] == ""
+    assert _rk4._load()[1] == "" and len(cache.probes) == 3
+
+
+def test_a_cached_differing_verdict_keeps_numpy(monkeypatch, cache):
+    why = "compiled RK4 window differs from numpy on corollary, 17 points"
+    monkeypatch.setattr(_rk4, "_probe", lambda *args: why)
+    assert _rk4._load() == (None, why)
+    assert cache.verdict.read_text().endswith(f"\n{why}\n")
+    monkeypatch.setattr(_rk4, "_probe", _no_probe)
+    assert _rk4._load() == (None, why)
+    # a verdict file reading "pass" under the digest of the failure is
+    # corrupt, not a pass
+    cache.verdict.write_text(cache.verdict.read_text().replace(why, "pass"))
+    monkeypatch.setattr(_rk4, "_probe", lambda *args: why)
+    assert _rk4._load() == (None, why)
+
+
+CORRUPTIONS = {
+    "empty": lambda text: b"",
+    "truncated": lambda text: text[:-3],
+    "no-end": lambda text: text[:-1],
+    "digest": lambda text: bytes([text[0] ^ 1]) + text[1:],
+    "extra-line": lambda text: text + b"pass\n",
+    "not-utf8": lambda text: b"\xff\xfe" + text,
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+def test_a_corrupt_verdict_reruns_the_probe(cache, corrupt):
+    _rk4._load()
+    good = cache.verdict.read_bytes()
+    cache.verdict.write_bytes(CORRUPTIONS[corrupt](good))
+    assert _rk4._load()[1] == "" and len(cache.probes) == 2
+    assert cache.verdict.read_bytes() == good
+
+
+def test_an_unreadable_verdict_reruns_the_probe(cache):
+    cache.verdict.mkdir()  # neither read nor replaced
+    assert _rk4._load()[1] == "" and _rk4._load()[1] == "" and len(cache.probes) == 2
+    assert cache.verdict.is_dir()
+
+
+def test_a_library_removed_after_loading_is_probed_but_not_cached(monkeypatch, cache):
+    """A concurrent build of another source may remove the library that
+    was just loaded: its bytes are gone, so no verdict can be keyed."""
+    library = _rk4._library
+
+    def removed():
+        lib, path = library()
+        path.unlink()
+        return lib, path
+
+    monkeypatch.setattr(_rk4, "_library", removed)
+    assert _rk4._load()[1] == "" and len(cache.probes) == 1
+    assert list(cache.dir.iterdir()) == []
+
+
+def test_a_rebuilt_library_reruns_the_probe(cache):
+    _rk4._load()
+    library = cache.verdict.with_suffix(".so")
+    rebuilt = cache.dir / ".rk4-rebuilt.so"
+    rebuilt.write_bytes(library.read_bytes() + b"\0")
+    os.replace(rebuilt, library)  # as a build moves its library into place
+    assert _rk4._load()[1] == "" and len(cache.probes) == 2
+    assert _rk4._load()[1] == "" and len(cache.probes) == 2
 
 
 def test_import_and_parse_neither_load_nor_compile(tmp_path):
