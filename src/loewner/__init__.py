@@ -10,12 +10,10 @@ from .boundary import (
     check_arc_length,
     check_julia,
     dilation_curve,
-    normalize_fix_origin,
 )
 from .disk import (
     BoundaryPoint,
     CayleyMap,
-    MobiusTransform,
     pseudo_hyperbolic_distance,
 )
 from .errors import (

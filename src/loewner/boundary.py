@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import BoundaryPoint, MobiusTransform
+from .disk import BoundaryPoint, guard_pole
 from .errors import DomainError, LoewnerError
 from .extrapolate import default_radii, richardson
 from .generators import FieldSpec
@@ -141,32 +141,27 @@ def dilation_curve(spec: FieldSpec, sigma: BoundaryPoint, t_grid,
     return out
 
 
-def normalize_fix_origin(map_fn):
-    """Post-compose with the disk automorphism sending map(0) to 0."""
-    w0 = complex(map_fn(0j))
-    t = MobiusTransform(1.0, -w0, -w0.conjugate(), 1.0)
-    return lambda z: t.apply(map_fn(z))
-
-
 def check_arc_length(map_fn, arc: tuple[float, float],
                      samples: int = 2048) -> tuple[float, float, str]:
     """(length of a boundary arc, length of its image, note), to compare.
 
-    The map must fix 0 (normalize first) and carry the sampled arc to the
-    circle.  An off-circle image, or a LoewnerError while evaluating it,
-    makes the comparison not apply rather than fail: the image length is
-    then NaN and the note says why; it is empty where the comparison
-    applies.  Lengths come from unwrapped sampled arguments.
+    The image is that of the map followed by the disk automorphism
+    w -> (w - w0)/(1 - conj(w0) w), w0 = map(0), which fixes 0; a
+    LoewnerError at 0 propagates.  An off-circle image, or a LoewnerError
+    while evaluating it, makes the comparison not apply rather than fail:
+    the image length is then NaN and the note says why; it is empty where
+    the comparison applies.  Lengths come from unwrapped sampled arguments.
     """
     theta0, theta1 = (float(v) for v in arc)
     if not theta0 < theta1 or theta1 - theta0 >= 2.0 * math.pi:
         raise DomainError("arc must satisfy theta0 < theta1 < theta0 + 2*pi")
-    if abs(complex(map_fn(0j))) > 1e-9:
-        raise DomainError("map must fix the origin; compose with a normalizer")
+    w0 = complex(map_fn(0j))
     thetas = np.linspace(theta0, theta1, samples + 1)
     len_arc = theta1 - theta0
     try:
         ws = np.asarray(map_fn(np.exp(1j * thetas)))
+        ws = (ws - w0) / guard_pole(1.0 - w0.conjugate() * ws,
+                                    "normalizing automorphism evaluated at its pole")
     except LoewnerError as exc:
         return len_arc, math.nan, f"boundary evaluation failed: {exc}"
     off = float(np.max(np.abs(np.abs(ws) - 1.0)))

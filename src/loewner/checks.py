@@ -24,7 +24,6 @@ interpreter lock and measured slower.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -33,8 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .boundary import check_arc_length, check_julia, dilation_curve, normalize_fix_origin
-from .config import ROLE_DW, RunConfig
+from .boundary import check_arc_length, check_julia, dilation_curve
+from .config import ROLE_DW, RunConfig, config_digest
 from .disk import BoundaryPoint, CayleyMap, on_circle, pseudo_hyperbolic_distance
 from .errors import LoewnerError
 from .generators import FieldSpec
@@ -93,11 +92,6 @@ def emit_report(report: VerificationReport) -> bytes:
         report.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
     )
     return (payload + "\n").encode()
-
-
-def config_digest(config: RunConfig) -> str:
-    payload = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _zdict(z: complex) -> dict:
@@ -368,8 +362,7 @@ def arc_lemma(ctx: CheckContext):
         raise NotApplicable("empty time window")
     flow = evolution_map(ctx.field, ctx.s, ctx.t, ctx.tol)
     try:
-        normalized = normalize_fix_origin(flow)
-        len_arc, len_image, note = check_arc_length(normalized, _DEFAULT_ARC, samples=2048)
+        len_arc, len_image, note = check_arc_length(flow, _DEFAULT_ARC, samples=2048)
     except LoewnerError as exc:
         raise NotApplicable(f"boundary flow unavailable ({exc})") from exc
     if note:

@@ -11,6 +11,7 @@ configuration.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field as dc_field
@@ -102,9 +103,15 @@ class RunConfig:
 
 
 def emit_config(config: RunConfig) -> bytes:
+    """Canonical JSON: sorted keys, no spaces, trailing newline."""
     return (
         json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     ).encode()
+
+
+def config_digest(config: RunConfig) -> str:
+    """sha256 of the canonical JSON without its trailing newline."""
+    return hashlib.sha256(emit_config(config)[:-1]).hexdigest()
 
 
 def check_schedule_end(spec: FieldSpec, t: float, name: str) -> float:

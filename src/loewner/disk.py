@@ -1,4 +1,4 @@
-"""Unit-disk geometry: boundary points, Mobius transforms, Cayley maps.
+"""Unit-disk geometry: boundary points, Cayley maps, pseudo-hyperbolic metric.
 
 Interior points are plain ``complex`` values with |z| < 1 (see
 ``require_interior``).  Points of the unit circle get their own type,
@@ -69,10 +69,10 @@ class BoundaryPoint:
         object.__setattr__(self, "angle", a)
 
     @classmethod
-    def from_complex(cls, z: complex, tol: float = CIRCLE_TOL) -> "BoundaryPoint":
-        """The circle point at the phase of z, which lies within ``tol`` of it."""
+    def from_complex(cls, z: complex) -> "BoundaryPoint":
+        """The circle point at the phase of z, which must be ``on_circle``."""
         z = complex(z)
-        if abs(abs(z) - 1.0) > tol:
+        if not on_circle(z):
             raise ValidationError(f"|{z}| = {abs(z)} is not on the unit circle")
         return cls(cmath.phase(z))
 
@@ -96,49 +96,6 @@ def on_circle(z: complex) -> bool:
 
 
 @dataclass(frozen=True)
-class MobiusTransform:
-    """z -> (a z + b) / (c z + d) with ad - bc != 0.
-
-    Coefficients are normalized so max(|a|,|b|,|c|,|d|) = 1, which keeps
-    pole detection scale-free.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self) -> None:
-        a, b, c, d = (complex(v) for v in (self.a, self.b, self.c, self.d))
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        if scale == 0.0:
-            raise ValidationError("all Mobius coefficients are zero")
-        a, b, c, d = a / scale, b / scale, c / scale, d / scale
-        if a * d - b * c == 0:
-            raise ValidationError("degenerate Mobius transform: ad - bc = 0")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def apply(self, z):
-        """Evaluate at a complex number or a numpy array of them."""
-        z = _point(z)
-        den = guard_pole(self.c * z + self.d, "Mobius transform evaluated at its pole")
-        return (self.a * z + self.b) / den
-
-    __call__ = apply
-
-    def inverse(self) -> "MobiusTransform":
-        return MobiusTransform(self.d, -self.b, -self.c, self.a)
-
-    def derivative(self, z: complex) -> complex:
-        det = self.a * self.d - self.b * self.c
-        den = guard_pole(self.c * complex(z) + self.d, "Mobius derivative evaluated at its pole")
-        return det / (den * den)
-
-
-@dataclass(frozen=True)
 class CayleyMap:
     """z -> i (tau + z) / (tau - z), sending the disk onto the upper
     half-plane and tau to infinity."""
@@ -151,19 +108,11 @@ class CayleyMap:
         den = guard_pole(t - z, "Cayley map evaluated at tau")
         return 1j * (t + z) / den
 
-    __call__ = forward
-
     def inverse(self, w):
         """Evaluate the inverse at a complex number or a numpy array of them."""
         w = _point(w)
         den = guard_pole(w + 1j, "inverse Cayley map evaluated at its pole")
         return self.tau.value * (w - 1j) / den
-
-    def boundary_image(self, sigma: BoundaryPoint) -> float:
-        """Image of a circle point other than tau; lands on the real axis."""
-        if self.tau.gap(sigma) <= ANGLE_GAP:
-            raise PoleError("boundary image of tau itself is infinite")
-        return self.forward(sigma.value).real
 
 
 def pseudo_hyperbolic_distance(z1: complex, z2: complex) -> float:

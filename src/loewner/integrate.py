@@ -187,6 +187,7 @@ class _Tally:
     h_max: float = 0.0
 
 
+@np.errstate(all="ignore")  # silent on a NaN point, as the compiled windows are
 def _dp_steps(fun, t0, t1, y, tol, guard, record, tally):
     """Dormand-Prince in numpy over [t0, t1] with a time-constant fun:
     (state, t, last h, failure reason or "").  Counts the steps in tally
@@ -374,6 +375,7 @@ def rk4_oracle(spec: FieldSpec, s: float, t: float, z, n_steps: int):
     return _unwrap(y) if scalar else y
 
 
+@np.errstate(all="ignore")  # silent on a NaN point, as the compiled windows are
 def _rk4_steps(g, grid, y):
     """RK4 in numpy over the grid of one window: (state, index of the
     first step after which max|y| >= 1, or -1)."""

@@ -9,11 +9,11 @@ from loewner import (
     BoundaryPoint,
     CorollaryField,
     MeasureSchedule,
-    MobiusTransform,
     ReciprocalField,
     ScheduleSegment,
     circle_measure,
 )
+from reference import MobiusTransform
 
 PI = math.pi
 

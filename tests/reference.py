@@ -4,9 +4,10 @@
 implementation of the field kernels, which pins the packed kernels of
 ``generators`` to the bit.  ``build_automorphism`` constructs the disk
 automorphism with two prescribed boundary fixed points, the closed-form
-oracle of the hyperbolic flows; ``identity``, ``compose``,
-``is_disk_automorphism`` and ``as_mobius`` are the Mobius operations it
-needs.  ``disk_grid_64`` is a test grid.
+oracle of the hyperbolic flows; ``MobiusTransform``, ``identity``,
+``compose``, ``is_disk_automorphism``, ``as_mobius`` and
+``boundary_image`` are the Mobius and Cayley operations it needs.
+``disk_grid_64`` is a test grid.
 
 ``null_quotient`` is the radial limit of G(z, t)/(z - sigma) over the
 ``default_radii``, the numerical reference that the closed-form field
@@ -33,7 +34,6 @@ from loewner.disk import (
     TWO_PI,
     BoundaryPoint,
     CayleyMap,
-    MobiusTransform,
     guard_pole,
     require_interior,
 )
@@ -85,6 +85,42 @@ def corollary_q_eval(nu: AtomicCircleMeasure, z):
     return acc
 
 
+@dataclass(frozen=True)
+class MobiusTransform:
+    """z -> (a z + b) / (c z + d) with ad - bc != 0.
+
+    Coefficients are normalized so max(|a|,|b|,|c|,|d|) = 1, which keeps
+    pole detection scale-free.
+    """
+
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+    def __post_init__(self) -> None:
+        a, b, c, d = (complex(v) for v in (self.a, self.b, self.c, self.d))
+        scale = max(abs(a), abs(b), abs(c), abs(d))
+        if scale == 0.0:
+            raise ValidationError("all Mobius coefficients are zero")
+        a, b, c, d = a / scale, b / scale, c / scale, d / scale
+        if a * d - b * c == 0:
+            raise ValidationError("degenerate Mobius transform: ad - bc = 0")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def apply(self, z):
+        """Evaluate at a complex number or a numpy array of them."""
+        z = z if isinstance(z, np.ndarray) else complex(z)
+        den = guard_pole(self.c * z + self.d, "Mobius transform evaluated at its pole")
+        return (self.a * z + self.b) / den
+
+    def inverse(self) -> "MobiusTransform":
+        return MobiusTransform(self.d, -self.b, -self.c, self.a)
+
+
 def identity() -> MobiusTransform:
     return MobiusTransform(1.0, 0.0, 0.0, 1.0)
 
@@ -117,6 +153,13 @@ def as_mobius(cayley: CayleyMap) -> MobiusTransform:
     return MobiusTransform(1j, 1j * t, -1.0, t)
 
 
+def boundary_image(cayley: CayleyMap, sigma: BoundaryPoint) -> float:
+    """Image of a circle point other than tau; lands on the real axis."""
+    if cayley.tau.gap(sigma) <= ANGLE_GAP:
+        raise PoleError("boundary image of tau itself is infinite")
+    return cayley.forward(sigma.value).real
+
+
 class ConstraintError(LoewnerError, ValueError):
     """A construction problem has no solution for the given data."""
 
@@ -143,7 +186,7 @@ def build_automorphism(
         raise DomainError("give exactly one of dilation_at_fix1, interior_pair")
 
     half = as_mobius(CayleyMap(fix2))  # fix2 -> infinity
-    x1 = CayleyMap(fix2).boundary_image(fix1)
+    x1 = boundary_image(CayleyMap(fix2), fix1)
     shift = MobiusTransform(1.0, -x1, 0.0, 1.0)  # fix1 -> 0
     conj = compose(shift, half)
 
@@ -376,8 +419,8 @@ def build_three_brfp_map(
             raise ValidationError("fixed-point system solve lost precision")
 
     cayley_in = CayleyMap(tau)
-    h1 = cayley_in.boundary_image(sigma1)
-    h2 = cayley_in.boundary_image(sigma2)
+    h1 = boundary_image(cayley_in, sigma1)
+    h2 = boundary_image(cayley_in, sigma2)
     if h1 < h2:
         m1, m2 = xi1, xi2
     else:

@@ -17,7 +17,6 @@ from loewner import (
     dilation_curve,
     evolution_map,
     evolve,
-    normalize_fix_origin,
     rk4_oracle,
 )
 from loewner.grids import disk_grid_100, upper_half_plane_grid
@@ -208,12 +207,10 @@ def test_criterion_06_nevanlinna_beta_relation():
 def test_criterion_07_arc_lemma():
     m = build_three_brfp_map(-1.0, 1.0,
                              RealAtomicMeasure(((0.0, 1.0),), (-1.0, 1.0)), TARGETS)
-    len_arc, len_image, note = check_arc_length(normalize_fix_origin(m),
-                                                (3 * PI / 2 + 0.3, 5 * PI / 2 - 0.3))
+    len_arc, len_image, note = check_arc_length(m, (3 * PI / 2 + 0.3, 5 * PI / 2 - 0.3))
     margin = len_image - len_arc
     auto = hyperbolic_automorphism(1.0)
-    auto_arc, auto_image, auto_note = check_arc_length(normalize_fix_origin(auto.apply),
-                                                       (PI / 2, 3 * PI / 2))
+    auto_arc, auto_image, auto_note = check_arc_length(auto.apply, (PI / 2, 3 * PI / 2))
     eq_defect = abs(auto_image - auto_arc)
     ok = note == "" and margin > 1e-3 and auto_note == "" and eq_defect <= 1e-8
     report(7, "boundary arc-length comparison", ok,

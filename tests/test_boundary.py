@@ -8,7 +8,6 @@ from loewner import (
     BoundaryPoint,
     CorollaryField,
     DomainError,
-    MobiusTransform,
     PoleError,
     ToleranceSettings,
     angular_derivative,
@@ -16,7 +15,6 @@ from loewner import (
     check_julia,
     dilation_curve,
     evolution_map,
-    normalize_fix_origin,
 )
 from loewner.extrapolate import default_radii
 from loewner.grids import disk_grid_100, upper_half_plane_grid
@@ -28,8 +26,10 @@ from conftest import (
     two_segment_field,
 )
 from reference import (
+    MobiusTransform,
     NevanlinnaRep,
     RealAtomicMeasure,
+    build_automorphism,
     build_three_brfp_map,
     check_half_plane_julia,
 )
@@ -240,24 +240,46 @@ class TestArcLength:
         m = build_three_brfp_map(
             -1.0, 1.0, RealAtomicMeasure(((0.0, 1.0),), (-1.0, 1.0)), TARGETS
         )
-        g = normalize_fix_origin(m)
         # the arc through tau = 1 between the sigmas corresponds to the
         # real complement of the support window
-        len_arc, len_image, note = check_arc_length(g, (3 * PI / 2 + 0.3, 5 * PI / 2 - 0.3))
+        len_arc, len_image, note = check_arc_length(m, (3 * PI / 2 + 0.3, 5 * PI / 2 - 0.3))
         assert note == ""
         assert len_image - len_arc > 1e-3
 
     def test_hyperbolic_automorphism_equality(self):
         m = hyperbolic_automorphism(1.0)
-        g = normalize_fix_origin(m.apply)
-        len_arc, len_image, note = check_arc_length(g, (PI / 2, 3 * PI / 2))
+        len_arc, len_image, note = check_arc_length(m.apply, (PI / 2, 3 * PI / 2))
         assert note == "" and len_arc <= len_image + 1e-6
         assert abs(len_image - len_arc) < 1e-8
 
-    def test_requires_origin_fixed(self):
-        m = hyperbolic_automorphism(1.0)
-        with pytest.raises(DomainError):
-            check_arc_length(m.apply, (PI / 2, 3 * PI / 2))
+    def test_maps_that_move_the_origin_are_normalized(self):
+        """The lengths are those of the map followed by the automorphism
+        that sends its image of 0 back to 0, built here with the reference
+        MobiusTransform; a package error at 0 propagates."""
+        three = build_three_brfp_map(
+            -1.0, 1.0, RealAtomicMeasure(((0.0, 1.0),), (-1.0, 1.0)), TARGETS
+        )
+        # fixing -i and i, it moves 0 along the imaginary axis
+        upright = build_automorphism(BoundaryPoint(3 * PI / 2), BoundaryPoint(PI / 2),
+                                     dilation_at_fix1=math.e)
+        for map_fn, arc in ((hyperbolic_automorphism(1.0).apply, (PI / 2, 3 * PI / 2)),
+                            (three, (3 * PI / 2 + 0.3, 5 * PI / 2 - 0.3)),
+                            (upright.apply, (0.0, PI))):
+            w0 = complex(map_fn(0j))
+            assert abs(w0) > 0.1
+            fix = MobiusTransform(1.0, -w0, -w0.conjugate(), 1.0)
+            want = check_arc_length(lambda z: fix.apply(map_fn(z)), arc)
+            got = check_arc_length(map_fn, arc)
+            assert want[2] == got[2] == ""
+            assert got[:2] == pytest.approx(want[:2], abs=1e-12)
+
+        def pole_at_origin(z):
+            if not isinstance(z, np.ndarray):
+                raise PoleError("pole at 0")
+            return z
+
+        with pytest.raises(PoleError):
+            check_arc_length(pole_at_origin, (0.0, 1.0), samples=64)
 
     def test_off_circle_not_applicable(self):
         len_arc, len_image, note = check_arc_length(lambda z: 0.5 * z, (0.0, 1.0), samples=64)
@@ -280,15 +302,13 @@ class TestArcLength:
 
     def test_flow_with_boundary_equality_case(self):
         flow = evolution_map(corollary_delta(PI), 0.0, 1.0)
-        g = normalize_fix_origin(flow)
-        len_arc, len_image, note = check_arc_length(g, (PI + 0.2, 2 * PI - 0.2), samples=256)
+        len_arc, len_image, note = check_arc_length(flow, (PI + 0.2, 2 * PI - 0.2), samples=256)
         assert note == "" and len_arc <= len_image + 1e-6
         assert len_image == pytest.approx(len_arc, abs=1e-8)
 
     def test_flow_with_boundary_strict_case(self, cor_i):
         flow = evolution_map(cor_i, 0.0, 1.0)
-        g = normalize_fix_origin(flow)
-        len_arc, len_image, note = check_arc_length(g, (PI + 0.2, 2 * PI - 0.2), samples=256)
+        len_arc, len_image, note = check_arc_length(flow, (PI + 0.2, 2 * PI - 0.2), samples=256)
         assert note == ""
         assert len_image > len_arc
 

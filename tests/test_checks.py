@@ -365,13 +365,13 @@ class TestDilationTable:
 #: CheckContext: chain_rule, the first to read the dilation table, fills it
 STEP_BUDGETS = {
     "verify_dilation": {
-        "arc_lemma": 585, "chain_rule": 2520, "cowen_pommerenke": 0,
+        "arc_lemma": 404, "chain_rule": 2520, "cowen_pommerenke": 0,
         "dilation_monotone": 0, "dilation_tracking": 0, "disk_invariance": 536,
         "half_plane_julia": 331, "julia": 643, "nevanlinna_beta": 0,
         "schwarz_pick": 1538, "semigroup": 2077,
     },
     "verify_oracle": {
-        "arc_lemma": 612, "chain_rule": 702, "cowen_pommerenke": 0,
+        "arc_lemma": 424, "chain_rule": 702, "cowen_pommerenke": 0,
         "dilation_monotone": 0, "dilation_tracking": 0, "disk_invariance": 1118,
         "half_plane_julia": 662, "julia": 1166, "nevanlinna_beta": 0,
         "oracle_agreement": 400740, "schwarz_pick": 2218, "semigroup": 4360,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -290,3 +291,62 @@ class TestDerivativeCommand:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"config error: {argument}: ")
         assert "Traceback" not in captured.err
+
+
+#: (exit code, sha256) of what the CLI makes of the bench configs of
+#: ``tests/bench_configs.py``: each verify report, the stdout of
+#: ``derivative --sigma pi --times 0.5,1,2`` on each verify config, and the
+#: simulate_grid CSVs (with their count), recorded with the program that
+#: preceded the arc comparison's own normalization
+BENCH_OUTPUT_SHA256 = {
+    (1, "verify_oracle", "verify"):
+        (0, "41f5071a4265af1dc09a37002df231638ba5d5ba8f604cc6b0a541369d3bdc70"),
+    (1, "verify_oracle", "derivative"):
+        (0, "e27110d8348ef4440bce701fc6e4c1c47b4c2459371d6a32c6485bbddf6e770d"),
+    (1, "verify_dilation", "verify"):
+        (0, "1bc2f1fd2444de9796f098a96c17dea73e393b2f02c743289f66f9f424349abe"),
+    (1, "verify_dilation", "derivative"):
+        (3, "40d4d8df284df23d1e5e289b02cf752826fd6d8f58efc628056cb61ef844b28e"),
+    (1, "simulate_grid", "simulate"):
+        (0, 128, "3d061263044276e9966fb91cb6434da557ae265664c51e3caa99686143fdfa4b"),
+    (7, "verify_oracle", "verify"):
+        (0, "ad8bd760a3c78c70305b297520347bfb2a89b8832b326ded01a9fdd4bfdb50a6"),
+    (7, "verify_oracle", "derivative"):
+        (0, "7242e34750d8397fb37e1e4a7c7e54273a938ccf35b6240e9521bd5a98017b70"),
+    (7, "verify_dilation", "verify"):
+        (0, "9b9b499e5d690f0e5287caa0f2e495777391a6bcba8762f3cfa15798b7e5a62d"),
+    (7, "verify_dilation", "derivative"):
+        (3, "40d4d8df284df23d1e5e289b02cf752826fd6d8f58efc628056cb61ef844b28e"),
+    (7, "simulate_grid", "simulate"):
+        (0, 128, "1cad9f85a0530c6393f1c753916559be42830ca0631ae67e42f072b1eeae373e"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_bench_outputs_are_pinned(tmp_path, capsys, seed):
+    """The bytes of every output of the bench workloads, so that a change
+    meant to keep them shows that it does.  The digests are of this
+    platform's numpy and libm; another platform may round differently."""
+    got = {}
+    for workload in ("verify_oracle", "verify_dilation", "simulate_grid"):
+        cfg = tmp_path / f"{workload}.json"
+        cfg.write_text(json.dumps(BENCH_CONFIGS[workload, seed]))
+        if workload == "simulate_grid":
+            out = tmp_path / "trajectories"
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+            files = [[p.name, _sha256(p.read_bytes())] for p in sorted(out.iterdir())]
+            got[seed, workload, "simulate"] = (code, len(files),
+                                               _sha256(json.dumps(files).encode()))
+            continue
+        report = tmp_path / f"{workload}.report.json"
+        code = main(["verify", "--config", str(cfg), "--report", str(report)])
+        got[seed, workload, "verify"] = (code, _sha256(report.read_bytes()))
+        capsys.readouterr()
+        code = main(["derivative", "--config", str(cfg), "--sigma", "3.141592653589793",
+                     "--times", "0.5,1,2"])
+        got[seed, workload, "derivative"] = (code, _sha256(capsys.readouterr().out.encode()))
+    assert got == {k: v for k, v in BENCH_OUTPUT_SHA256.items() if k[0] == seed}

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from bench_configs import BENCH_CONFIGS
 from loewner import BoundaryPoint, ConfigError, CorollaryField
-from loewner.checks import CHECK_NAMES, config_digest
-from loewner.config import MAX_GRID_POINTS, RunConfig, emit_config, parse_config
+from loewner.checks import CHECK_NAMES
+from loewner.config import MAX_GRID_POINTS, RunConfig, config_digest, emit_config, parse_config
 
 PI = math.pi
 

@@ -13,16 +13,19 @@ from loewner import (
     BoundaryPoint,
     CayleyMap,
     DomainError,
-    MobiusTransform,
     PoleError,
+    ValidationError,
     angular_derivative,
     pseudo_hyperbolic_distance,
 )
+from loewner.disk import on_circle
 from conftest import hyperbolic_automorphism, hyperbolic_x
 from reference import (
     ConstraintError,
+    MobiusTransform,
     NevanlinnaRep,
     RealAtomicMeasure,
+    boundary_image,
     build_automorphism,
     compose,
     identity,
@@ -52,6 +55,15 @@ class TestBoundaryPoint:
     def test_from_complex_rejects_interior(self):
         with pytest.raises(Exception):
             BoundaryPoint.from_complex(0.5 + 0j)
+
+    @pytest.mark.parametrize("z", [1.0 + 0.5e-9, (1.0 - 0.5e-9) * 1j, 1.0 + 2e-9,
+                                   (1.0 - 2e-9) * 1j, complex(math.nan, 0.0)])
+    def test_from_complex_takes_exactly_the_points_on_circle(self, z):
+        if on_circle(z):
+            assert BoundaryPoint.from_complex(z).angle == BoundaryPoint(cmath.phase(z)).angle
+        else:
+            with pytest.raises(ValidationError):
+                BoundaryPoint.from_complex(z)
 
 
 class TestPoleGuard:
@@ -198,9 +210,9 @@ class TestCayley:
 
     def test_boundary_image_is_real(self):
         c = CayleyMap(BoundaryPoint(0.0))
-        assert c.boundary_image(BoundaryPoint(PI)) == pytest.approx(0.0)
-        assert c.boundary_image(BoundaryPoint(PI / 2)) == pytest.approx(-1.0)
-        assert c.boundary_image(BoundaryPoint(3 * PI / 2)) == pytest.approx(1.0)
+        assert boundary_image(c, BoundaryPoint(PI)) == pytest.approx(0.0)
+        assert boundary_image(c, BoundaryPoint(PI / 2)) == pytest.approx(-1.0)
+        assert boundary_image(c, BoundaryPoint(3 * PI / 2)) == pytest.approx(1.0)
 
 
 class TestBuildAutomorphism:

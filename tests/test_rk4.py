@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -193,18 +194,26 @@ def test_one_point_leaving_mid_window_fails_alike(monkeypatch, shape):
     assert stats.rejected_guard == 1 and stats.fevals == 4 * (stats.accepted + 1)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
 def test_a_nan_point_runs_alike(monkeypatch, shape):
     """A NaN point stays NaN and never trips the disk test, in numpy's
-    max as in the compiled one; the other points run to the end."""
+    max as in the compiled one; the other points run to the end.  The
+    Dormand-Prince window rejects every step on the NaN error and
+    underflows alike.  Neither backend warns."""
     require_compiled()
     fld, _ = FIELDS["reciprocal"]
     z = _spread(shape, 0.8)
     z.flat[len(z.flat) // 2] = complex(np.nan, 0.25)
-    fast, slow, _ = _oracle_both(monkeypatch, fld, z, 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast, slow, _ = _oracle_both(monkeypatch, fld, z, 300)
+        monkeypatch.undo()
+        (dp_fast, _, _), (dp_slow, _, _) = _evolve_both(monkeypatch, fld, 1.0, z, record=False)
     assert fast.shape == shape and fast.tobytes() == slow.tobytes()
     assert np.isnan(fast).sum() == 1 and np.abs(fast[~np.isnan(fast)]).max() < 1.0
+    assert isinstance(dp_fast, IntegrationError) and isinstance(dp_slow, IntegrationError)
+    assert (str(dp_fast), dp_fast.reason, dp_fast.w.tobytes()) == (
+        str(dp_slow), "step_underflow", dp_slow.w.tobytes())
 
 
 def _bits(rows):
