@@ -22,14 +22,26 @@
  *     Python's float ** is libm pow, min(a, b) is b < a ? b : a and
  *     max(a, b) is b > a ? b : a, evaluated left to right.
  *
+ * dp_window's circle mode runs the boundary flow of
+ * integrate.evolve_on_circle, whose state holds the angles as (theta, +0.0)
+ * and whose numpy field is integrate._circle_slope.  Each stage forms
+ * 1j * theta with numpy's complex multiply and z = cexp of it, which is
+ * what np.exp calls (equal to (cos theta, sin theta) under glibc), then
+ * g = G(z) conj(z), and returns (Im g, +0.0).  The tangency test is
+ * numpy's: after each stage over all points, the fresh k1 included,
+ * max|Re g| > tol (1 + max|g|), both maxima over all points and
+ * NaN-propagating, fails the window with the first maximum.  It is one
+ * test over all points, not one per point.
+ *
  * The points' chains are independent: no point's arithmetic reads
- * another's, and only the test after a whole step looks at all of them.
- * So rk4_window runs each RK4 stage over all points, as numpy does, and
- * the CPU overlaps the divisions of neighbouring points.
+ * another's, and only the tests after a whole stage or step look at all
+ * of them.  So both windows run each stage over all points, as numpy
+ * does, and the CPU overlaps the divisions of neighbouring points.
  *
  * The loader (_rk4.py) probes all of this against numpy at load time and
  * uses numpy instead if any bit differs.
  */
+#include <complex.h>
 #include <math.h>
 
 /* fma() is a libm call unless the target has the instruction: build an
@@ -200,48 +212,58 @@ INLINE double max_np(double top, double a)
     return (top != top || a != a) ? (top != top ? top : a) : (a > top ? a : top);
 }
 
-/* integrate._step_once for one point: y5 and the scaled error vector */
-INLINE void dp_step(const field *f, cplx w, cplx k1, double h, cplx *y5, cplx *k7, cplx *errv)
+/* The slopes of all n points at the states w into k: G(w), or in circle
+ * mode the boundary flow's rate of the angle re(w), as
+ * integrate._circle_slope computes it: z = cexp(1j * re(w)),
+ * g = G(z) conj(z), slope (Im g, +0.0).  A circle stage is tangent unless
+ * max|Re g| > tangency (1 + max|g|) over all n points, with numpy's
+ * NaN-propagating max; a stage that is not returns 1 with that max in
+ * *radial, where _circle_slope raises NotTangentError.  Returns 0
+ * otherwise. */
+INLINE int slopes(const field *f, double tangency, const cplx *w, cplx *k, long n,
+                  double *radial)
 {
-    cplx k[7], hh = real(h);
-    k[0] = k1;
-    for (int i = 1; i < 6; i++) {
-        const double *row = DP_A[i - 1];
-        cplx acc = mul(real(row[0]), k[0]);
-        for (int j = 1; j < i; j++)
-            acc = add(acc, mul(real(row[j]), k[j]));
-        k[i] = eval(f, add(w, mul(hh, acc)));
+    if (tangency == 0.0) {
+        for (long p = 0; p < n; p++)
+            k[p] = eval(f, w[p]);
+        return 0;
     }
-    cplx acc = mul(real(DP_A[5][0]), k[0]);
-    for (int j = 1; j < 6; j++)
-        if (DP_A[5][j] != 0.0)
-            acc = add(acc, mul(real(DP_A[5][j]), k[j]));
-    *y5 = add(w, mul(hh, acc));
-    k[6] = *k7 = eval(f, *y5);
-    cplx err = mul(real(DP_E[0]), k[0]);
-    for (int j = 1; j < 7; j++)
-        if (DP_E[j] != 0.0)
-            err = add(err, mul(real(DP_E[j]), k[j]));
-    *errv = mul(hh, err);
+    double re_max = -INFINITY, size = -INFINITY;
+    for (long p = 0; p < n; p++) {
+        cplx a = mul((cplx){0.0, 1.0}, real(w[p].re));
+        double complex e = cexp(CMPLX(a.re, a.im));
+        cplx z = {creal(e), cimag(e)};
+        cplx g = mul(eval(f, z), (cplx){z.re, -z.im});
+        re_max = max_np(re_max, fabs(g.re));
+        size = max_np(size, cabs_np(g));
+        k[p] = (cplx){g.im, 0.0};
+    }
+    *radial = re_max;
+    return re_max > tangency * (1.0 + size);
 }
 
-/* ctl: the controller state, kept between the calls of one window */
-enum { T, H, ERR_PREV, GUARD_H, H_MIN, H_MAX, N_CTL };
+/* ctl: the controller state, kept between the calls of one window, and the
+ * radial size of a stage that was not tangent */
+enum { T, H, ERR_PREV, GUARD_H, H_MIN, H_MAX, RADIAL, N_CTL };
 /* count: accepted, rejected on error, rejected by the guard, rows written */
 enum { ACCEPTED, REJECTED_ERROR, REJECTED_GUARD, ROWS, N_COUNT };
-/* set: the window and its ToleranceSettings */
-enum { T1, REL_TOL, ABS_TOL, MAX_STEP, MIN_STEP, BOUNDARY_GUARD, GUARD, N_SET };
-enum { DONE = 0, ROWS_FULL = 1, STEP_UNDERFLOW = 2, BOUNDARY_GUARD_FAILED = 3 };
+/* set: the window, its ToleranceSettings, and the tangency tolerance of
+ * circle mode, 0 for a window in the disk */
+enum { T1, REL_TOL, ABS_TOL, MAX_STEP, MIN_STEP, BOUNDARY_GUARD, GUARD, TANGENCY, N_SET };
+enum { DONE = 0, ROWS_FULL = 1, STEP_UNDERFLOW = 2, BOUNDARY_GUARD_FAILED = 3, NOT_TANGENT = 4 };
 
 /* Advance the n points of state over [ctl[T], set[T1]] as
  * integrate._dp_steps does, from the controller state in ctl.  slope
- * holds G(state), computed here if fresh; work holds 2n points.  Each
- * accepted step adds one row (t, state) to rows_t and rows_w while
- * fewer than cap rows were written; the window then returns ROWS_FULL
- * and a call with the same buffers continues it.  A guard rejection
- * sets ctl[GUARD_H] to its h, a step the guard lets pass to -1.  Returns DONE,
- * ROWS_FULL, or the failure, with ctl and state at the last accepted
- * step and ctl[H] the step that underflowed. */
+ * holds the slopes k1 of the state, computed here if fresh; work holds 7n
+ * points: k2-k6, the stage states (the last stage's are y5) and k7.  Each
+ * stage runs over all points before the next one starts, as in
+ * rk4_window.  Each accepted step adds one row (t, state) to rows_t and
+ * rows_w while fewer than cap rows were written; the window then returns
+ * ROWS_FULL and a call with the same buffers continues it.  A guard
+ * rejection sets ctl[GUARD_H] to its h, a step the guard lets pass to -1.
+ * Returns DONE, ROWS_FULL, or the failure, with ctl, count and state at
+ * the last accepted step, ctl[H] the step that underflowed and
+ * ctl[RADIAL] the radial size of a stage that was not tangent. */
 DISPATCH long dp_window(int kind, const double *tau, const double *start,
                const double *atoms, long m, const double *set, double *ctl,
                long *count, double *state, double *slope, double *work, long n,
@@ -249,16 +271,18 @@ DISPATCH long dp_window(int kind, const double *tau, const double *start,
 {
     field f = {kind, {tau[0], tau[1]}, {tau[0], -tau[1]}, {start[0], start[1]},
                (const cplx *)atoms, m};
-    cplx *y = (cplx *)state, *k1 = (cplx *)slope, *y5 = (cplx *)work, *k7 = y5 + n;
+    cplx *y = (cplx *)state, *k[7] = {(cplx *)slope}, *y5 = (cplx *)work + 5 * n;
+    for (int i = 1; i < 6; i++)
+        k[i] = (cplx *)work + (i - 1) * n;
+    k[6] = y5 + n;
     double t = ctl[T], h = ctl[H], err_prev = ctl[ERR_PREV], guard_h = ctl[GUARD_H];
-    double h_min = ctl[H_MIN], h_max = ctl[H_MAX], t1 = set[T1];
-    double limit = 1.0 - set[BOUNDARY_GUARD];
+    double h_min = ctl[H_MIN], h_max = ctl[H_MAX], radial = ctl[RADIAL], t1 = set[T1];
+    double limit = 1.0 - set[BOUNDARY_GUARD], tangency = set[TANGENCY];
     double near_t1 = 1e-14 * (fabs(t1) > 1.0 ? fabs(t1) : 1.0);
     long rows = 0, status = DONE;
-    if (fresh)
-        for (long p = 0; p < n; p++)
-            k1[p] = eval(&f, y[p]);
-    while (t < t1) {
+    if (fresh && slopes(&f, tangency, y, k[0], n, &radial))
+        status = NOT_TANGENT;
+    while (status == DONE && t < t1) {
         if (rows == cap && rows_t) {
             status = ROWS_FULL;
             break;
@@ -268,14 +292,33 @@ DISPATCH long dp_window(int kind, const double *tau, const double *start,
             status = guard_h >= 0.0 ? BOUNDARY_GUARD_FAILED : STEP_UNDERFLOW;
             break;
         }
+        /* integrate._step_once: stage i + 1 at y + h sum_j DP_A[i - 1][j] k_j,
+         * skipping zero weights; the seventh stage is at y5 */
+        cplx hh = real(h);
+        for (int i = 1; i < 7 && status == DONE; i++) {
+            const double *row = DP_A[i - 1];
+            for (long p = 0; p < n; p++) {
+                cplx acc = mul(real(row[0]), k[0][p]);
+                for (int j = 1; j < i; j++)
+                    if (row[j] != 0.0)
+                        acc = add(acc, mul(real(row[j]), k[j][p]));
+                y5[p] = add(y[p], mul(hh, acc));
+            }
+            if (slopes(&f, tangency, y5, k[i], n, &radial))
+                status = NOT_TANGENT;
+        }
+        if (status != DONE)
+            break;
         double top = -INFINITY, err = -INFINITY;
         for (long p = 0; p < n; p++) {
-            cplx errv;
-            dp_step(&f, y[p], k1[p], h, &y5[p], &k7[p], &errv);
+            cplx e = mul(real(DP_E[0]), k[0][p]);
+            for (int j = 1; j < 7; j++)
+                if (DP_E[j] != 0.0)
+                    e = add(e, mul(real(DP_E[j]), k[j][p]));
             double a5 = cabs_np(y5[p]);
             double scale = set[ABS_TOL] + set[REL_TOL] * maximum_np(cabs_np(y[p]), a5);
             top = max_np(top, a5);
-            err = max_np(err, cabs_np(errv) / scale);
+            err = max_np(err, cabs_np(mul(hh, e)) / scale);
         }
         if (set[GUARD] != 0.0 && top >= limit) {
             count[REJECTED_GUARD]++;
@@ -294,7 +337,7 @@ DISPATCH long dp_window(int kind, const double *tau, const double *start,
             t = t_new;
             for (long p = 0; p < n; p++) {
                 y[p] = y5[p];
-                k1[p] = k7[p];
+                k[0][p] = k[6][p];
             }
             if (rows_t) {
                 rows_t[rows] = t;
@@ -316,7 +359,7 @@ DISPATCH long dp_window(int kind, const double *tau, const double *start,
         }
     }
     ctl[T] = t, ctl[H] = h, ctl[ERR_PREV] = err_prev, ctl[GUARD_H] = guard_h;
-    ctl[H_MIN] = h_min, ctl[H_MAX] = h_max;
+    ctl[H_MIN] = h_min, ctl[H_MAX] = h_max, ctl[RADIAL] = radial;
     count[ROWS] = rows;
     return status;
 }

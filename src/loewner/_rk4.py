@@ -13,10 +13,13 @@ cache, but never a concurrent build's temporary file.
 After loading, a probe runs a few dozen RK4 steps and a few
 Dormand-Prince windows of each kernel kind, with step rejections and
 recorded rows, through the compiled windows and through the numpy loops
-and compares every bit.  With no compiler, a failed build or any
-differing bit, ``load`` returns no windows and the reason, and
-``integrate`` runs both integrators on numpy and reports the reason in
-its ``SolverStats``.
+and compares every bit.  It runs the circle mode of the Dormand-Prince
+window as well: the boundary flow of each kind from angles of both signs
+and up to two turns, where the field is tangent, where it is not (the
+failure's message and counts), and where it stops being tangent
+mid-window.  With no compiler, a failed build or any differing bit,
+``load`` returns no windows and the reason, and ``integrate`` runs both
+integrators on numpy and reports the reason in its ``SolverStats``.
 
 The probe runs once per build and environment.  Its verdict, "pass" or
 what differed, is written next to the library as ``rk4-<key>.verdict``,
@@ -57,7 +60,7 @@ _PASS = "pass"  # the verdict of a probe that found every bit equal
 
 _ROWS = 256  # rows one call of the DP window records before it returns
 _ROWS_FULL = 1
-_FAILURES = {2: "step_underflow", 3: "boundary_guard"}
+_FAILURES = {2: "step_underflow", 3: "boundary_guard", 4: "not_tangent"}
 
 _loaded: tuple | None = None  # (Windows or None, fallback reason), once per process
 
@@ -70,11 +73,14 @@ class Windows(NamedTuple):
     ``generators.KernelData``) and returns what ``integrate._rk4_steps``
     returns as its index.
 
-    ``dp(data, t0, t1, y, tol, guard, record, tally)`` advances y in place
-    over [t0, t1] as ``integrate._dp_steps`` does, appends the same
-    accepted rows to ``record`` (if not None), sets the same counts in
-    ``tally`` and returns what it returns after the state: (t, last h,
-    failure reason or "").
+    ``dp(data, t0, t1, y, tol, guard, record, tally, circle=False)``
+    advances y in place over [t0, t1] as ``integrate._dp_steps`` does,
+    appends the same accepted rows to ``record`` (if not None), sets the
+    same counts in ``tally`` and returns what it returns after the state:
+    (t, last h, failure reason or "").  With ``circle``, y holds angles and
+    the field is the boundary flow's (``integrate._circle_slope``); where
+    that raises ``NotTangentError``, the failure is "not_tangent" and the
+    radial size it names takes the place of last h.
     """
 
     rk4: Callable
@@ -96,7 +102,7 @@ def _load():
         return None, str(exc)
     import ctypes
 
-    from .integrate import _unwrap
+    from .integrate import _TANGENCY_TOL, _unwrap
 
     ptr, n, i = ctypes.c_void_p, ctypes.c_long, ctypes.c_int
     rk4_window = lib.rk4_window
@@ -117,14 +123,14 @@ def _load():
         return rk4_window(_KINDS[data.kind], *_addresses(tau, start, atoms), len(atoms),
                           *_addresses(grid), len(grid), *_addresses(y, work), y.size)
 
-    def dp(data, t0, t1, y, tol, guard, record, tally):
+    def dp(data, t0, t1, y, tol, guard, record, tally, circle=False):
         tau, start, atoms = _packed(data, y)
         kernel = (_KINDS[data.kind], *_addresses(tau, start, atoms), len(atoms))
         settings = np.array([t1, tol.rel_tol, tol.abs_tol, tol.max_step, tol.min_step,
-                             tol.boundary_guard, float(guard)])
-        ctl = np.array([t0, min(tol.max_step, t1 - t0), 1.0, -1.0, math.inf, 0.0])
+                             tol.boundary_guard, float(guard), _TANGENCY_TOL if circle else 0.0])
+        ctl = np.array([t0, min(tol.max_step, t1 - t0), 1.0, -1.0, math.inf, 0.0, 0.0])
         count = np.zeros(4, dtype=count_type)
-        slope, work = np.empty_like(y), np.empty(2 * y.size, dtype=complex)
+        slope, work = np.empty_like(y), np.empty(7 * y.size, dtype=complex)
         cap = 0 if record is None else _ROWS
         rows_t, rows_w = np.empty(cap), np.empty((cap, *y.shape), dtype=complex)
         buffers = _addresses(settings, ctl, count, y, slope, work)
@@ -140,9 +146,9 @@ def _load():
                 break
             fresh = 0
         tally.accepted, tally.rejected_error, tally.rejected_guard = count[:3].tolist()
-        t, h, _, guard_h, tally.h_min, tally.h_max = ctl.tolist()
+        t, h, _, guard_h, tally.h_min, tally.h_max, radial = ctl.tolist()
         failure = _FAILURES.get(status, "")
-        return t, guard_h if failure == "boundary_guard" else h, failure
+        return t, {"boundary_guard": guard_h, "not_tangent": radial}.get(failure, h), failure
 
     windows = Windows(rk4, dp)
     fault = _verdict(path, lambda: _probe(windows, lambda y: max_abs(y.ctypes.data, y.size)))
@@ -269,10 +275,13 @@ def _digest(key: bytes, verdict: str) -> str:
 
 
 def _probe(windows: Windows, max_abs) -> str:
-    """'' if both compiled windows reproduce the numpy loops to the bit on
-    each kernel kind, else what differed."""
-    from .generators import kernel_probe_fields
-    from .integrate import ToleranceSettings, _dp_steps, _rk4_steps, _Tally
+    """'' if both compiled windows, and the circle mode of the
+    Dormand-Prince window, reproduce the numpy loops to the bit on each
+    kernel kind, else what differed."""
+    from .errors import NotTangentError
+    from .generators import KernelData, kernel_probe_fields
+    from .integrate import (ToleranceSettings, _circle_slope, _dp_steps, _not_tangent,
+                            _rk4_steps, _Tally)
 
     grid = np.linspace(0.0, 0.4, 33)
     points = 0.93 * np.exp(1j * np.arange(17)) * np.linspace(0.0, 1.0, 17)
@@ -294,6 +303,28 @@ def _probe(windows: Windows, max_abs) -> str:
             if (got.tobytes() != want.tobytes() or list(got_end) != want_end
                     or got_tally != want_tally or _bits(got_rows) != _bits(want_rows)):
                 return f"compiled DP window differs from numpy on {data.kind}, {n} points"
+    # the boundary flow, on arcs clear of the poles of the tangent kinds'
+    # fields, turned by multiples of 2 pi; bp_const is not tangent, and
+    # ``leaving`` is tangent near tau = 1 only: its first angle fails the
+    # test in the second step
+    turns = 2.0 * np.pi * (np.arange(17) % 5 - 2)
+    flows = [(spec.kernel_data(0.5), centre + np.linspace(-0.5, 0.5, 17) + turns, 0.4)
+             for spec, centre in zip(kernel_probe_fields(), (0.0, -0.75, 2.5, -0.4))]
+    leaving = KernelData("bp_const", 1.0 + 0j, 4e-8 + 1j, ())
+    for data, start, t1 in (*flows, (leaving, np.linspace(-0.45, 0.45, 17), 3.0)):
+        for n in (1, 16, 17):
+            want, want_tally = start[:n].astype(complex), _Tally()
+            try:
+                want, *want_end = _dp_steps(_circle_slope(data.kernel()), 0.05, t1, want,
+                                            tol, False, None, want_tally)
+            except NotTangentError as exc:
+                want_end = [str(exc)]
+            got, got_tally = start[:n].astype(complex), _Tally()
+            t, h, failure = windows.dp(data, 0.05, t1, got, tol, False, None, got_tally, True)
+            got_end = [str(_not_tangent(h))] if failure == "not_tangent" else [t, h, failure]
+            if (got_end != want_end or got_tally != want_tally
+                    or (not failure and got.tobytes() != want.tobytes())):
+                return f"compiled boundary flow differs from numpy on {data.kind}, {n} points"
     # moduli within a few ulps of 1, where the guard decides, and extremes;
     # numpy's max propagates NaN
     y = np.concatenate([np.exp(1j * np.arange(32)) * (1.0 + 2.0 ** -52 * np.arange(-16, 16)),

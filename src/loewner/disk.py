@@ -91,7 +91,9 @@ class BoundaryPoint:
 
 def on_circle(z: complex) -> bool:
     """Whether z lies within CIRCLE_TOL of the unit circle: the test that
-    tells a Denjoy-Wolff point tau on the circle from one in the disk."""
+    tells a Denjoy-Wolff point tau on the circle from one in the disk, and
+    a boundary point of an evolution map from an interior one.  On an
+    array, the test of each point."""
     return abs(abs(z) - 1.0) <= CIRCLE_TOL
 
 

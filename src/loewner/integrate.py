@@ -15,11 +15,13 @@ loaded by ``_rk4``) that evaluates the same expressions in numpy's
 operation order and gives the same bits.  A Dormand-Prince window takes
 the compiled path only when the field callable it is given carries its
 ``kernel_data`` (the callables ``frozen_at`` returns do); any other
-callable, such as the boundary flow, which raises ``NotTangentError``
-from inside its field, or a wrapper that counts calls, keeps the numpy
-loop.  An RK4 window takes it when the field gives ``kernel_data``.  A
-machine where the library cannot be built or fails its load-time probe
-keeps the numpy loops.
+callable, such as a wrapper that counts calls, keeps the numpy loop.
+The boundary flow's windows choose the same way, by the frozen field's
+``kernel_data``: the compiled window's circle mode evaluates the field
+on the circle and tests its tangency as ``_circle_slope``, their numpy
+field, does.  An RK4 window takes the compiled path when the field gives
+``kernel_data``.  A machine where the library cannot be built or fails
+its load-time probe keeps the numpy loops.
 
 State may be a single complex number or a numpy array of them; an array
 is advanced as one system with a shared step sequence.  ``evolve_at``
@@ -47,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .disk import on_circle
 from .errors import DomainError, IntegrationError, NotTangentError, ValidationError
 from .generators import FieldSpec, windows
 
@@ -235,18 +238,21 @@ def _dp_steps(fun, t0, t1, y, tol, guard, record, tally):
     return y, t, h, ""
 
 
-def _integrate_window(fun, t0, t1, y, tol, guard, record):
-    """``_dp_steps``, in one compiled call where fun carries its
-    ``kernel_data`` and the compiled window loaded, and in numpy
-    otherwise, to the same bits; raises IntegrationError on a failure."""
+def _integrate_window(fun, t0, t1, y, tol, guard, record, circle=False):
+    """``_dp_steps`` with the field fun, or with ``circle`` its boundary
+    flow's ``_circle_slope(fun)``, in one compiled call where fun carries
+    its ``kernel_data`` and the compiled window loaded, and in numpy
+    otherwise, to the same bits; raises IntegrationError on a failure, and
+    NotTangentError where the boundary flow's field is not tangent."""
     data = getattr(fun, "kernel_data", None)
     lib, reason = _compiled(data, y, "field callable carries no kernel data")
     tally = _Tally()
     try:
         if lib is None:
-            y, t, h, failure = _dp_steps(fun, t0, t1, y, tol, guard, record, tally)
+            slope = _circle_slope(fun) if circle else fun
+            y, t, h, failure = _dp_steps(slope, t0, t1, y, tol, guard, record, tally)
         else:
-            t, h, failure = lib.dp(data, t0, t1, y, tol, guard, record, tally)
+            t, h, failure = lib.dp(data, t0, t1, y, tol, guard, record, tally, circle)
     finally:
         sink = _SINK.get()
         if sink is not None:
@@ -257,6 +263,8 @@ def _integrate_window(fun, t0, t1, y, tol, guard, record):
                                  dp_fallback=reason))
     if not failure:
         return y
+    if failure == "not_tangent":  # h is the radial size
+        raise _not_tangent(h)
     if failure == "boundary_guard":
         text = (f"boundary guard rejected every step from t = {t} in window "
                 f"[{t0}, {t1}] (last h = {h:.3g})")
@@ -415,6 +423,26 @@ def _rk4_window(spec, t, grid, y):
 _TANGENCY_TOL = 1e-8
 
 
+def _not_tangent(radial: float) -> NotTangentError:
+    return NotTangentError(f"field has radial boundary component {radial:.3g}")
+
+
+def _circle_slope(g):
+    """The boundary flow's field in numpy: the rate Im(g) of the angles
+    re(ang), g = G(z) conj(z) at z = e^{i re(ang)}, as a complex state.
+    Raises NotTangentError where max|Re g| > _TANGENCY_TOL (1 + max|g|)
+    over all points."""
+    def fun(ang):
+        z = np.exp(1j * np.real(ang))
+        gz = g(z) * np.conj(z)
+        radial = float(np.max(np.abs(np.real(gz))))
+        size = float(np.max(np.abs(gz)))
+        if radial > _TANGENCY_TOL * (1.0 + size):
+            raise _not_tangent(radial)
+        return np.imag(gz).astype(complex)
+    return fun
+
+
 def evolve_on_circle(spec: FieldSpec, s: float, t: float, theta,
                      tol: ToleranceSettings | None = None):
     """Boundary flow: angle(s) theta advance along d theta / dt =
@@ -422,30 +450,19 @@ def evolve_on_circle(spec: FieldSpec, s: float, t: float, theta,
 
     Valid only where the field is tangent to the circle; a detectable
     radial component raises NotTangentError.  Angles are returned
-    unwrapped (they may leave [0, 2 pi)).
+    unwrapped (they may leave [0, 2 pi)).  Each window runs compiled, in
+    the circle mode of the Dormand-Prince window, where the frozen field
+    carries its ``kernel_data``, and on numpy otherwise, to the same bits.
     """
     tol = tol or DEFAULT_TOL
     _validate_window(s, t)
     scalar = not isinstance(theta, np.ndarray)
-    y = np.atleast_1d(np.asarray(theta, dtype=complex))
+    y = _as_state(theta)
     if t == s:
         return float(np.real(y[0])) if scalar else np.real(y).copy()
-
-    def wrap(g):
-        def fun(ang):
-            z = np.exp(1j * np.real(ang))
-            gz = g(z) * np.conj(z)
-            radial = float(np.max(np.abs(np.real(gz))))
-            size = float(np.max(np.abs(gz)))
-            if radial > _TANGENCY_TOL * (1.0 + size):
-                raise NotTangentError(
-                    f"field has radial boundary component {radial:.3g}"
-                )
-            return np.imag(gz).astype(complex)
-        return fun
-
     for a, b, u in windows(spec, s, t):
-        y = _integrate_window(wrap(spec.frozen_at(u)), a, b, y, tol, guard=False, record=None)
+        y = _integrate_window(spec.frozen_at(u), a, b, y, tol, guard=False, record=None,
+                              circle=True)
     out = np.real(y)
     return float(out[0]) if scalar else out
 
@@ -455,9 +472,9 @@ class EvolutionEvaluator:
     """phi_{s,t} as an evaluate-at-point service.
 
     Interior points are integrated; points of the unit circle (a whole
-    array of them, or one) follow the boundary flow, which needs the field
-    to be tangent there.  The s = t evaluator is the identity exactly, with
-    no integration performed.
+    array of them, or one, each ``on_circle``) follow the boundary flow,
+    which needs the field to be tangent there.  The s = t evaluator is the
+    identity exactly, with no integration performed.
     """
 
     spec: FieldSpec
@@ -472,14 +489,13 @@ class EvolutionEvaluator:
         if self.t == self.s:
             return z if not isinstance(z, np.ndarray) else z.copy()
         if isinstance(z, np.ndarray):
-            mods = np.abs(z)
-            if np.max(np.abs(mods - 1.0)) <= 1e-12:
+            if np.all(on_circle(z)):
                 ang = evolve_on_circle(self.spec, self.s, self.t, np.angle(z), self.tol)
                 return np.exp(1j * ang)
-            if np.max(mods) < 1.0:
+            if np.max(np.abs(z)) < 1.0:
                 return evolve(self.spec, self.s, self.t, z, self.tol)
             raise DomainError("mixed interior/boundary evaluation batch")
-        if abs(abs(z) - 1.0) <= 1e-12:
+        if on_circle(z):
             ang = evolve_on_circle(self.spec, self.s, self.t, float(np.angle(z)), self.tol)
             return complex(np.exp(1j * ang))
         return evolve(self.spec, self.s, self.t, complex(z), self.tol)

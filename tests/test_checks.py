@@ -5,7 +5,7 @@ import math
 from pathlib import Path
 
 from loewner import BoundaryPoint, CorollaryField, PoleError, collect_stats
-from loewner import checks
+from loewner import _rk4, checks
 from loewner.checks import (
     CHECK_NAMES,
     CHECKS,
@@ -380,7 +380,9 @@ STEP_BUDGETS = {
 
 
 def test_step_budgets_of_the_bench_configs():
-    spent = {}
+    """Also: where the compiled windows load, arc_lemma's boundary flow,
+    its last window, runs compiled."""
+    spent, arc_backends = {}, {}
     for workload in sorted(STEP_BUDGETS):
         config = parse_config(json.dumps(BENCH_CONFIGS[workload, 1]).encode())
         ctx = CheckContext(config)
@@ -389,7 +391,11 @@ def test_step_budgets_of_the_bench_configs():
             with collect_stats() as sink:
                 CHECKS[name](ctx)
             spent[workload][name] = sink.stats.fevals
+            if name == "arc_lemma":
+                arc_backends[workload] = sink.stats.dp_backend
     assert spent == STEP_BUDGETS
+    backend = "c" if _rk4.load()[0] is not None else "numpy"
+    assert arc_backends == dict.fromkeys(STEP_BUDGETS, backend)
 
 
 def test_every_check_reads_the_configured_flow():

@@ -93,6 +93,21 @@ class TestEvolutionFamilyLaws:
         for z in (0j, 0.3 - 0.2j, 0.9 + 0j):
             assert ev(z) == z
 
+    def test_circle_points_are_those_on_circle_accepts(self):
+        """Points 5e-10 outside the circle are within CIRCLE_TOL of it: they
+        follow the boundary flow, in a batch and one by one; a batch 2e-9
+        outside is refused."""
+        ev = evolution_map(corollary_delta(PI), 0.0, 1.0)
+        z = np.exp(1j * np.array([3.5, 4.0]))
+        off = (1 + 5e-10) * z
+        flow = np.exp(1j * evolve_on_circle(corollary_delta(PI), 0.0, 1.0, np.angle(off)))
+        assert ev(off).tobytes() == flow.tobytes()
+        assert ev(complex(off[0])) == flow[0]
+        with pytest.raises(DomainError, match="mixed interior/boundary"):
+            ev((1 + 2e-9) * z)
+        with pytest.raises(DomainError, match="open unit disk"):
+            ev(complex((1 + 2e-9) * z[0]))
+
     def test_matches_closed_form_automorphism_on_grid(self):
         ev = evolution_map(corollary_delta(PI), 0.0, 1.0)
         ref = hyperbolic_automorphism(1.0)

@@ -19,7 +19,9 @@ from loewner import (
     BoundaryPoint,
     CorollaryField,
     IntegrationError,
+    LoewnerError,
     MeasureSchedule,
+    NotTangentError,
     ReciprocalField,
     ScheduleSegment,
     SolverStats,
@@ -342,15 +344,34 @@ def test_simulate_grid_step_budget(monkeypatch, backend):
                                      dp_backend=backend, dp_fallback=sink.stats.dp_fallback)
 
 
+class Opaque:
+    """A field whose frozen callables hide their ``kernel_data``."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def breakpoints(self, s, t):
+        return self.spec.breakpoints(s, t)
+
+    def frozen_at(self, t):
+        g = self.spec.frozen_at(t)
+        return lambda z: g(z)
+
+
 def test_opaque_callables_run_on_numpy():
-    """The boundary flow's field raises NotTangentError from inside, so it
-    stays on numpy; its run into the pole of q at z = i (angles 1.0 and
-    2.0) fails as a step underflow."""
+    """A field callable without ``kernel_data`` keeps the numpy loop, on the
+    circle as in the disk; the frozen fields' callables carry it, so their
+    boundary flow runs compiled, to the same bits.  The flow into the pole
+    of q at z = i (angles 1.0 and 2.0) fails as a step underflow."""
+    require_compiled()
     fld = corollary_delta(PI / 2)
-    with collect_stats() as sink:
-        evolve_on_circle(fld, 0.0, 1.0, np.array([3.0, 4.0]))
-    assert (sink.stats.dp_backend, sink.stats.dp_fallback) == (
-        "numpy", "field callable carries no kernel data")
+    flows = []
+    for spec, backend, reason in ((fld, "c", ""),
+                                  (Opaque(fld), "numpy", "field callable carries no kernel data")):
+        with collect_stats() as sink:
+            flows.append(evolve_on_circle(spec, 0.0, 1.0, np.array([3.0, 4.0])))
+        assert (sink.stats.dp_backend, sink.stats.dp_fallback) == (backend, reason)
+    assert flows[0].tobytes() == flows[1].tobytes()
     for angle, t in ((1.0, 0.2259), (2.0, 0.0851)):
         with pytest.raises(IntegrationError) as info:
             evolve_on_circle(fld, 0.0, 1.0, angle)
@@ -358,6 +379,132 @@ def test_opaque_callables_run_on_numpy():
         assert err.reason == "step_underflow" and err.window == (0.0, 1.0)
         assert str(err) == f"step size underflow at t = {err.t}"
         assert err.t == pytest.approx(t, abs=1e-4) and err.last_h < DEFAULT_TOL.min_step
+
+
+#: arcs clear of the poles of each tangent field's boundary flow over [0, t1]
+CIRCLE_ARCS = {"reciprocal": (2.0, 3.1), "corollary-two-segment": (3.25, 6.25),
+               "bp-schedule-off-grid": (4.0, 4.75), "bp-measure-imag-const": (5.0, 5.75)}
+ANGLE_STATES = {"scalar": None, "one": 1, "sixteen": 16, "arc": 2049}
+
+
+def _angles(arc, state):
+    """Angles on the arc: its midpoint, or n of them; sixteen are turned by
+    -1, 0 and 1 whole turns in turn, for angles of both signs."""
+    a, b = arc
+    n = ANGLE_STATES[state]
+    if n is None:
+        return 0.5 * (a + b)
+    theta = np.linspace(a, b, n)
+    return theta + 2.0 * PI * (np.arange(n) % 3 - 1) if n == 16 else theta
+
+
+def _circle_both(monkeypatch, fld, t1, theta):
+    """(result or LoewnerError, the same on numpy, stats) of the boundary
+    flow on the compiled path, then on numpy; asserts equal counts."""
+    runs = []
+    for forced in (False, True):
+        if forced:
+            on_numpy(monkeypatch)
+        with collect_stats() as sink:
+            try:
+                result = evolve_on_circle(fld, 0.0, t1, theta)
+            except LoewnerError as exc:
+                result = exc
+        runs.append((result, sink.stats))
+    (fast, fast_stats), (slow, slow_stats) = runs
+    assert (fast_stats.dp_backend, fast_stats.dp_fallback) == ("c", "")
+    assert (slow_stats.dp_backend, slow_stats.dp_fallback) == (
+        "numpy", "numpy path forced by the test")
+    assert _counts(fast_stats) == _counts(slow_stats)
+    return fast, slow, fast_stats
+
+
+@pytest.mark.parametrize("name", CIRCLE_ARCS)
+@pytest.mark.parametrize("state", ANGLE_STATES)
+def test_compiled_boundary_flow_matches_numpy_to_the_bit(monkeypatch, name, state):
+    require_compiled()
+    fld, t1 = FIELDS[name]
+    theta = _angles(CIRCLE_ARCS[name], state)
+    fast, slow, stats = _circle_both(monkeypatch, fld, t1, theta)
+    assert type(fast) is type(slow) and np.shape(fast) == np.shape(theta)
+    assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
+    assert stats.windows == 1 + len(fld.breakpoints(0.0, t1)) and stats.accepted > 0
+    assert stats.fevals == stats.windows + 6 * (stats.accepted + stats.rejected_error)
+
+
+@pytest.mark.parametrize("state", ["scalar", "sixteen"])
+def test_a_field_that_is_not_tangent_fails_alike(monkeypatch, state):
+    """G = -z points straight out of the circle: the first evaluation of
+    the window fails, before any step."""
+    require_compiled()
+    theta = _angles((0.0, 6.0), state)
+    fast, slow, stats = _circle_both(monkeypatch, radial_field(), 1.0, theta)
+    assert isinstance(fast, NotTangentError) and isinstance(slow, NotTangentError)
+    assert str(fast) == str(slow) == "field has radial boundary component 1"
+    assert (stats.windows, stats.accepted, stats.rejected_error, stats.fevals) == (1, 0, 0, 1)
+
+
+def test_leaving_the_tangent_arc_fails_alike(monkeypatch):
+    """With tau = 1 and p = 4e-8 + i, Re g = -4e-8 |1 - z|^2 passes the
+    tangency test only while |1 - z|^2 < 1/3; the angles all move down at
+    the rate |1 - z|^2.  The test is over all points: 0.3 alone stays on
+    the tangent arc, but with -0.45, which leaves it after 12 steps, the
+    whole window fails there."""
+    require_compiled()
+    fld = BerksonPortaField(1.0 + 0j, p_const=4e-8 + 1j)
+    fast, slow, stats = _circle_both(monkeypatch, fld, 3.0, np.array([0.3]))
+    assert fast.tobytes() == slow.tobytes() and stats.accepted > 3
+    monkeypatch.undo()
+    fast, slow, stats = _circle_both(monkeypatch, fld, 3.0, np.array([-0.45, 0.3]))
+    assert isinstance(fast, NotTangentError) and isinstance(slow, NotTangentError)
+    assert str(fast) == str(slow) == "field has radial boundary component 1.35e-08"
+    assert stats.accepted == 12 and stats.fevals == 1 + 6 * (12 + stats.rejected_error)
+
+
+def test_the_tangency_test_is_over_all_points(monkeypatch):
+    """The test compares the largest |Re g| of a stage with its largest
+    |g|: with tau = 1 and p = 5e-8 + (1/2)(-1 + z)/(-1 - z), the angle pi/2
+    fails it alone, but passes beside pi - 1e-3, next to the atom at -1,
+    where |g| is about 4,000."""
+    require_compiled()
+    fld = KernelField(KernelData("bp_herglotz", 1.0 + 0j, 5e-8 + 0j, ((-1.0 + 0j, 0.5 + 0j),)))
+    fast, slow, stats = _circle_both(monkeypatch, fld, 1e-7, PI / 2)
+    assert isinstance(fast, NotTangentError) and isinstance(slow, NotTangentError)
+    assert str(fast) == str(slow) == "field has radial boundary component 1e-07"
+    assert stats.fevals == 1
+    monkeypatch.undo()
+    fast, slow, stats = _circle_both(monkeypatch, fld, 1e-7, np.array([PI / 2, PI - 1e-3]))
+    assert fast.tobytes() == slow.tobytes() and stats.accepted > 0
+
+
+@pytest.mark.parametrize("angle", [1.0, 2.0])
+def test_a_pole_on_the_circle_fails_alike(monkeypatch, angle):
+    """The flow into the pole of q at z = i underflows on both paths."""
+    require_compiled()
+    fast, slow, stats = _circle_both(monkeypatch, corollary_delta(PI / 2), 1.0, angle)
+    assert isinstance(fast, IntegrationError) and isinstance(slow, IntegrationError)
+    assert (str(fast), fast.t, fast.w, fast.reason, fast.window, fast.last_h) == (
+        str(slow), slow.t, slow.w, slow.reason, slow.window, slow.last_h)
+    assert fast.reason == "step_underflow" and stats.rejected_error > 0
+
+
+@pytest.mark.parametrize("state", ["scalar", "sixteen"])
+def test_a_nan_angle_runs_alike(monkeypatch, state):
+    """A NaN angle passes the tangency test, as NaN > x is false in numpy's
+    max as in the compiled one, and its NaN error norm rejects every step:
+    both paths underflow, and neither warns."""
+    require_compiled()
+    theta = _angles(CIRCLE_ARCS["reciprocal"], state)
+    if state == "scalar":
+        theta = math.nan
+    else:
+        theta[5] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast, slow, _ = _circle_both(monkeypatch, FIELDS["reciprocal"][0], 1.0, theta)
+    assert isinstance(fast, IntegrationError) and isinstance(slow, IntegrationError)
+    assert (str(fast), fast.reason) == (str(slow), "step_underflow")
+    assert np.asarray(fast.w).tobytes() == np.asarray(slow.w).tobytes()
 
 
 def test_fallback_without_compiler(monkeypatch, tmp_path):
@@ -610,6 +757,7 @@ class TestSolverStats:
                     calls[0] += 1
                     return g(z)
 
+                kernel.kernel_data = g.kernel_data  # a compiled window makes no call
                 return kernel
 
             monkeypatch.setattr(cls, "frozen_at", counting)
@@ -620,13 +768,14 @@ class TestSolverStats:
     def test_fevals_equal_counted_calls(self, monkeypatch, counted, name):
         fld, t1 = FIELDS[name]
         z = STATES["sixteen"]
+        on_numpy(monkeypatch)
         with collect_stats() as sink:
             evolve(fld, 0.0, t1, z)
         assert sink.stats.fevals == counted[0] > 0
         assert sink.stats.windows == 1 + len(fld.breakpoints(0.0, t1))
         assert sink.stats.accepted > 0
         assert 0.0 < sink.stats.h_min <= sink.stats.h_max <= 0.1
-        on_numpy(monkeypatch)
+        assert sink.stats.dp_backend == "numpy"
         counted[0] = 0
         with collect_stats() as sink:
             rk4_oracle(fld, 0.0, t1, z, 200)
@@ -644,15 +793,28 @@ class TestSolverStats:
         assert sink.stats.h_min == pytest.approx(0.01) and sink.stats.h_max == pytest.approx(0.01)
         assert sink.stats.rk4_backend == "c"
 
-    def test_rejections_and_boundary_flow(self, counted):
+    def test_rejections_and_boundary_flow(self, monkeypatch, counted):
+        """In the disk and on the circle, the numpy windows call the field
+        once per counted evaluation, and the compiled ones never, with
+        the same counts."""
+        require_compiled()
         fld = corollary_delta(PI / 2)
-        with collect_stats() as sink:
-            evolve(fld, 0.0, 1.0, 0.9999j)
-            evolve_on_circle(fld, 0.0, 1.0, np.array([3.0, 4.0]))
-        assert sink.stats.fevals == counted[0]
-        assert sink.stats.windows == 2
-        assert sink.stats.rejected_error > 0 and sink.stats.rejected_guard > 0
-        assert sink.stats.rk4_backend == ""
+        runs = []
+        for forced in (False, True):
+            if forced:
+                on_numpy(monkeypatch)
+            counted[0] = 0
+            with collect_stats() as sink:
+                evolve(fld, 0.0, 1.0, 0.9999j)
+                evolve_on_circle(fld, 0.0, 1.0, np.array([3.0, 4.0]))
+            runs.append((sink.stats, counted[0]))
+        (fast, fast_calls), (slow, slow_calls) = runs
+        assert slow.fevals == slow_calls and fast_calls == 0
+        assert (fast.dp_backend, slow.dp_backend) == ("c", "numpy")
+        assert _counts(fast) == _counts(slow)
+        assert slow.windows == 2
+        assert slow.rejected_error > 0 and slow.rejected_guard > 0
+        assert slow.rk4_backend == ""
 
     def test_no_sink_outside_the_block(self):
         with collect_stats() as sink:
